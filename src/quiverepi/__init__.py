@@ -43,6 +43,7 @@ from .quiverrep import (
     ZeroModule,
     complement,
     direct_sum,
+    end_dim,
     euler_form,
     ext1_dim,
     hom_basis,

@@ -14,12 +14,7 @@ from pathlib import Path
 
 from . import epibuild, quiverrep
 from .exactlin import parse_field
-from .freealg import (
-    AlphabetMismatch,
-    DegreeBoundTooSmall,
-    PolyParseError,
-    default_degree_bound,
-)
+from .freealg import AlphabetMismatch, DegreeBoundTooSmall, PolyParseError
 from .quiver import QuiverError, parse_quiver
 from .quiverrep import RepresentationError, load_representation
 
@@ -77,16 +72,17 @@ def _load_hom(path: str, field_spec: str | None) -> epibuild.AlgebraHom:
 def cmd_check(args) -> int:
     field = parse_field(args.field)
     rep = load_representation(args.rep, field=field)
-    end_dim = quiverrep.hom_basis(rep, rep).dimension
+    end_dim = quiverrep.end_dim(rep)
+    ext1_dim = end_dim - quiverrep.euler_form(rep.quiver, rep.dims, rep.dims)
     report = {
         "schema": 1,
         "command": "check",
         "dims": {v: rep.dims[v] for v in rep.quiver.vertices},
         "total_dim": rep.total_dim(),
         "end_dim": end_dim,
-        "ext1_dim": quiverrep.ext1_dim(rep, rep),
-        "brick": quiverrep.is_brick(rep),
-        "exceptional": quiverrep.is_exceptional(rep),
+        "ext1_dim": ext1_dim,
+        "brick": end_dim == 1,
+        "exceptional": end_dim == 1 and ext1_dim == 0,
     }
     _emit(report, args.out)
     return 0
@@ -157,12 +153,7 @@ def cmd_verify(args) -> int:
         raise ValueError("--degree must be nonnegative")
     hom = _load_hom(args.hom, args.field)
     sizes = _parse_sizes(args.sizes)
-    degree = args.degree
-    if degree is None:
-        combined, gens = epibuild.commutant_ideal_gens(hom)
-        targets = epibuild.required_elements(hom, combined)
-        degree = max((default_degree_bound(gens, p) for _, p in targets), default=2)
-    report = epibuild.verify_epimorphism(hom, degree)
+    report = epibuild.verify_epimorphism(hom, args.degree)
     refutation = epibuild.specialization_refutation_test(
         hom, trials=args.trials, sizes=sizes, seed=args.seed
     )
@@ -178,7 +169,7 @@ def cmd_verify(args) -> int:
     payload["witness"] = refutation.witness
     payload["config"] = {
         "field": hom.field.name,
-        "degree": degree,
+        "degree": report.degree_bound,
         "trials": args.trials,
         "sizes": sizes,
         "seed": args.seed,

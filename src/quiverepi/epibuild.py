@@ -28,6 +28,7 @@ from .exactlin import (
     QQ,
     ExactMatrix,
     idempotent_diagonalize,
+    is_prime,
     nullspace_basis,
     rank,
     solve_or_invert,
@@ -39,7 +40,7 @@ from .freealg import (
     FreePoly,
     IdealGens,
     IdealSpan,
-    MembershipResult,
+    default_degree_bound,
 )
 from .quiver import BlockLayout, Quiver, block_layout
 from .quiverrep import (
@@ -47,7 +48,8 @@ from .quiverrep import (
     ZeroModule,
     complement,
     end_basis,
-    ext1_dim,
+    end_dim,
+    euler_form,
     find_end_invariance_violation,
     hom_basis,
     is_brick,
@@ -349,7 +351,9 @@ def build_brick_hom(M: Representation, allow_non_brick: bool = False) -> Algebra
 
 def extend_add_arrows(M: Representation, q_prime: Quiver) -> AlgebraHom:
     """Extend the brick hom of M over Q to Q' >= Q by sending each new arrow
-    to a full block of fresh indeterminates at its (target, source) block.
+    to a full block of fresh indeterminates at its (target, source) block:
+    the canonical generic hom of Q' with the old arrows' letters replaced by
+    M's scalars.
 
     Requires Q'_0 = Q_0 and Q_1 a subset of Q'_1.  M must be a brick; if it
     has self-extensions the result is still a ring epimorphism but not a
@@ -361,40 +365,21 @@ def extend_add_arrows(M: Representation, q_prime: Quiver) -> AlgebraHom:
     for a in q.arrows:
         if not q_prime.has_arrow(a.name) or q_prime.arrow(a.name) != a:
             raise QuiverNotExtension(f"arrow {a.name!r} of the subquiver is missing from the extension")
-    if not is_brick(M):
+    end = end_dim(M)
+    if end != 1:
         raise NotABrick("module is not a brick")
-    if ext1_dim(M, M) != 0:
+    if end - euler_form(q, M.dims, M.dims) != 0:
         warnings.warn(
             "module has self-extensions: the extension is a ring epimorphism "
             "but not a universal localisation",
             stacklevel=2,
         )
-    layout = M.layout()
-    old_names = {a.name for a in q.arrows}
-    new_arrows = [a for a in q_prime.arrows if a.name not in old_names]
-    letters = []
-    coords = {}
-    for a in new_arrows:
-        rows, cols = M.dims[a.target], M.dims[a.source]
-        for i in range(1, rows + 1):
-            for j in range(1, cols + 1):
-                x = block_letter(a.name, i, j)
-                letters.append(x)
-                coords[x] = (layout.offsets[a.target] + i - 1,
-                             layout.offsets[a.source] + j - 1,
-                             a.name)
-    algebra = FreeAlgebra(M.field, letters)
-    idem = _standard_idem_images(algebra, layout)
-    arrows = _scalar_arrow_images(algebra, layout, M)
-    for a in new_arrows:
-        rows, cols = M.dims[a.target], M.dims[a.source]
-        block = [[algebra.letter(block_letter(a.name, i + 1, j + 1)) for j in range(cols)]
-                 for i in range(rows)]
-        arrows[a.name] = _place_block(algebra, layout.total,
-                                      layout.offsets[a.target], layout.offsets[a.source],
-                                      block)
-    return AlgebraHom(q_prime, algebra, layout.total, idem, arrows,
-                      letter_coords=coords, provenance="extend")
+    scalars = {block_letter(a.name, i + 1, j + 1): M.maps[a.name].entry(i, j)
+               for a in q.arrows
+               for i in range(M.dims[a.target]) for j in range(M.dims[a.source])}
+    hom = substitute_letters(canonical_generic_hom(q_prime, M.dims, field=M.field), scalars)
+    hom.provenance = "extend"
+    return hom
 
 
 def generation_identity_check(h: AlgebraHom) -> bool:
@@ -786,37 +771,21 @@ def required_elements(h: AlgebraHom, combined: FreeAlgebra) -> list[tuple[str, F
     return targets
 
 
-def verify_epimorphism(h: AlgebraHom, degree_bound: int) -> EpiReport:
+def verify_epimorphism(h: AlgebraHom, degree_bound: int | None = None) -> EpiReport:
     """The ideal criterion: build the commutant ideal generators and check
     membership of every required element up to degree_bound, lazily raising
     the span degree and stopping early.  Verified only when every element
-    has a certificate; otherwise Undetermined (never Refuted here)."""
+    has a certificate; otherwise Undetermined (never Refuted here).
+
+    The default bound is 2 + max generator degree + max target degree (2
+    when there are no targets)."""
     combined, gens = commutant_ideal_gens(h)
     targets = required_elements(h, combined)
-    span = IdealSpan(gens)
-    results: dict[int, MembershipResult] = {}
-    pending = list(range(len(targets)))
-    for d in range(0, degree_bound + 1):
-        if not pending:
-            break
-        span.build_to(d)
-        still = []
-        for idx in pending:
-            label, poly = targets[idx]
-            if poly.degree() > d:
-                still.append(idx)
-                continue
-            cert = span.try_reduce_to_zero(poly)
-            if cert is None:
-                still.append(idx)
-            else:
-                results[idx] = MembershipResult.found(cert, d)
-        pending = still
-    for idx in pending:
-        results[idx] = MembershipResult.not_found(degree_bound)
+    if degree_bound is None:
+        degree_bound = max((default_degree_bound(gens, p) for _, p in targets), default=2)
+    results = IdealSpan(gens).memberships([poly for _, poly in targets], degree_bound)
     elements = []
-    for idx, (label, poly) in enumerate(targets):
-        res = results[idx]
+    for (label, poly), res in zip(targets, results):
         entry = {"element": label, "poly": poly.to_text(), "member": res.member}
         if res.member:
             entry["degree"] = res.searched_degree
@@ -824,9 +793,8 @@ def verify_epimorphism(h: AlgebraHom, degree_bound: int) -> EpiReport:
         else:
             entry["not_found_up_to"] = res.searched_degree
         elements.append(entry)
-    all_member = all(results[i].member for i in range(len(targets)))
-    degree_used = max((results[i].searched_degree for i in range(len(targets))
-                       if results[i].member), default=0)
+    all_member = all(res.member for res in results)
+    degree_used = max((res.searched_degree for res in results if res.member), default=0)
     return EpiReport(
         verdict="Verified" if all_member else "Undetermined",
         degree_bound=degree_bound,
@@ -938,23 +906,32 @@ def specialize(h: AlgebraHom, assignment: dict[str, ExactMatrix],
     return Representation(q, dims, maps, field=field)
 
 
-def _centralizer_dim(matrices: list[ExactMatrix], ell: int, field) -> int:
-    """dim of {w in M_ell : w X = X w for all X}, by exact nullspace."""
-    if ell == 0:
-        return 0
-    rows = []
-    for X in matrices:
-        for i in range(ell):
-            for j in range(ell):
-                # (w X - X w)_{ij} = sum_k w_ik X_kj - X_ik w_kj
-                row = [field.zero()] * (ell * ell)
-                for k in range(ell):
-                    row[i * ell + k] = field.add(row[i * ell + k], X.entry(k, j))
-                    row[k * ell + j] = field.sub(row[k * ell + j], X.entry(i, k))
-                rows.append(row)
-    if not rows:
-        return ell * ell
-    return len(nullspace_basis(ExactMatrix(field, rows, cols=ell * ell)))
+def _trial_dims(h: AlgebraHom, loops: Quiver, assignment: dict[str, ExactMatrix],
+                ell: int) -> tuple[int, int]:
+    """(dim End over the path algebra of the specialized module, dim of the
+    centralizer of the assigned matrices).  The centralizer is End of the
+    one-vertex module on the loop quiver `loops`, one loop per letter acting
+    by its matrix."""
+    rep = specialize(h, assignment, size=ell)
+    if rep.total_dim() == 0:
+        return 0, 0
+    letters = Representation(loops, {"*": ell}, assignment, field=rep.field)
+    dim_path = hom_basis(rep, rep).dimension
+    dim_matrix = hom_basis(letters, letters).dimension
+    if dim_path < dim_matrix:
+        raise EpibuildError("internal: matrix-algebra End exceeded path-algebra End")
+    return dim_path, dim_matrix
+
+
+def _specialization_prime(h: AlgebraHom) -> int:
+    """The smallest prime >= 101 dividing no coefficient denominator of h."""
+    denominators = {c.denominator
+                    for m in list(h.idem_images.values()) + list(h.arrow_images.values())
+                    for row in m.entries for poly in row for c in poly.terms.values()}
+    p = 101
+    while not is_prime(p) or any(d % p == 0 for d in denominators):
+        p += 1
+    return p
 
 
 def convert_hom_field(h: AlgebraHom, field) -> AlgebraHom:
@@ -1003,17 +980,21 @@ def specialization_refutation_test(h: AlgebraHom, trials: int = 20,
     over the path algebra must equal the block-scalar one over the matrix
     algebra.  Any strict inequality refutes, with the assignment as witness.
 
-    Homs over QQ are reduced into GF(101) for speed; homs over GF(p) stay
-    there.  Deterministic given the seed.
+    Homs over QQ are reduced into GF(p) for speed, p the smallest prime >= 101
+    dividing no coefficient denominator; homs over GF(p) stay there.  A strict
+    inequality found mod p is recomputed over QQ at the same integer
+    assignment and refutes only if it holds there; otherwise the trial logs
+    the QQ dimensions, keeps the mod-p ones under "modular_artifact", and the
+    test goes on.  Deterministic given the seed.
     """
     import random
 
-    field = h.field if h.field != QQ else GF(101)
+    field = h.field if h.field != QQ else GF(_specialization_prime(h))
     hs = convert_hom_field(h, field)
+    loops = Quiver(["*"], [(x, "*", "*") for x in h.algebra.letters], require_acyclic=False)
     rng = random.Random(seed)
     sizes = list(sizes)
     log = []
-    witness = None
     for t in range(trials):
         ell = sizes[t % len(sizes)]
         assignment = {
@@ -1022,28 +1003,22 @@ def specialization_refutation_test(h: AlgebraHom, trials: int = 20,
                            cols=ell)
             for x in hs.algebra.letters
         }
-        rep = specialize(hs, assignment, size=ell)
-        if rep.total_dim() == 0:
-            dim_path, dim_matrix = 0, 0
-        else:
-            dim_path = hom_basis(rep, rep).dimension
-            dim_matrix = _centralizer_dim(list(assignment.values()), ell, field)
-        if dim_path < dim_matrix:
-            raise EpibuildError("internal: matrix-algebra End exceeded path-algebra End")
-        entry = {"trial": t, "size": ell, "dim_path_algebra": dim_path,
-                 "dim_matrix_algebra": dim_matrix}
+        dim_path, dim_matrix = _trial_dims(hs, loops, assignment, ell)
+        entry = {"trial": t, "size": ell}
+        if dim_path > dim_matrix and h.field == QQ:
+            modular = {"prime": field.p, "dim_path_algebra": dim_path,
+                       "dim_matrix_algebra": dim_matrix}
+            dim_path, dim_matrix = _trial_dims(
+                h, loops, {x: m.convert(h.field) for x, m in assignment.items()}, ell)
+            if dim_path == dim_matrix:
+                entry["modular_artifact"] = modular
+        entry.update(dim_path_algebra=dim_path, dim_matrix_algebra=dim_matrix)
         log.append(entry)
         if dim_path > dim_matrix:
-            witness = {
-                "trial": t,
-                "size": ell,
-                "dim_path_algebra": dim_path,
-                "dim_matrix_algebra": dim_matrix,
-                "assignment": {
-                    x: [[field.to_str(m.entry(i, j)) for j in range(ell)] for i in range(ell)]
-                    for x, m in assignment.items()
-                },
-            }
+            witness = dict(entry, assignment={
+                x: [[field.to_str(m.entry(i, j)) for j in range(ell)] for i in range(ell)]
+                for x, m in assignment.items()
+            })
             return RefutationOutcome(False, witness, log, seed)
     return RefutationOutcome(True, None, log, seed)
 

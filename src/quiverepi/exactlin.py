@@ -84,11 +84,16 @@ class RationalField:
         return "QQ"
 
 
+def is_prime(p: int) -> bool:
+    """Primality by trial division (the primes used here are small)."""
+    return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+
+
 class PrimeField:
     """The field GF(p) for a prime p; values are ints in [0, p)."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"fp:{p}"
@@ -386,35 +391,18 @@ def column_space_basis(m: ExactMatrix) -> list[ExactMatrix]:
 
 
 def solve_or_invert(m: ExactMatrix) -> ExactMatrix:
-    """Exact inverse of a square matrix.
+    """Exact inverse of a square matrix: the right half of rref([m | I]).
 
     Raises NonSquare when rows != cols and NotInvertible when the rank is
-    deficient.
+    deficient (some pivot of [m | I] falls in the identity half).
     """
     if not m.is_square():
         raise NonSquare(f"cannot invert a {m.rows}x{m.cols} matrix")
-    f = m.field
     n = m.rows
-    aug = [list(row) + [f.one() if i == j else f.zero() for j in range(n)]
-           for i, row in enumerate(m.entries)]
-    r = 0
-    for c in range(n):
-        pivot_row = -1
-        for i in range(r, n):
-            if not f.is_zero(aug[i][c]):
-                pivot_row = i
-                break
-        if pivot_row < 0:
-            raise NotInvertible(f"matrix has rank < {n}")
-        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        inv = f.inv(aug[r][c])
-        aug[r] = [f.mul(inv, x) for x in aug[r]]
-        for i in range(n):
-            if i != r and not f.is_zero(aug[i][c]):
-                factor = aug[i][c]
-                aug[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(aug[i], aug[r])]
-        r += 1
-    return ExactMatrix(f, [row[n:] for row in aug], cols=n)
+    reduced, pivots = rref(m.hstack(ExactMatrix.identity(m.field, n)))
+    if pivots != list(range(n)):
+        raise NotInvertible(f"matrix has rank < {n}")
+    return reduced.submatrix(range(n), range(n, 2 * n))
 
 
 def idempotent_diagonalize(idems: Sequence[ExactMatrix]) -> tuple[ExactMatrix, list[int]]:

@@ -155,7 +155,12 @@ class FreeAlgebra:
             coeff = None
             m = re.match(r"\d+(?:/\d+)?", text[pos:])
             if m:
-                coeff = self.field.coerce(m.group(0))
+                try:
+                    coeff = self.field.coerce(m.group(0))
+                except ZeroDivisionError:
+                    raise PolyParseError(
+                        f"coefficient {m.group(0)!r} has a zero denominator in {self.field!r}"
+                    ) from None
                 pos += m.end()
                 pos = skip_ws(pos)
                 if pos < n and text[pos] == "*":
@@ -665,31 +670,40 @@ class IdealSpan:
             )]
         )
 
-    def membership(self, target: FreePoly, degree_bound: int) -> MembershipResult:
-        """Decide span membership lazily, building one degree at a time.
+    def memberships(self, targets: list[FreePoly], degree_bound: int) -> list[MembershipResult]:
+        """Decide span membership of every target lazily, building one degree
+        at a time and stopping once all are resolved.  Each target is tried
+        once per degree, once the degree reaches its own, and resolves at the
+        first degree whose span contains it; the rest are NotFoundUpTo(bound).
 
-        A span already built beyond the requested bound may only answer
-        Member when the certificate itself respects the bound; otherwise the
-        query falls back to a fresh engine so the verdict stays exact.
+        A span already built beyond the bound could hand out certificates
+        above it, so such a span answers from a fresh engine instead.
         """
+        if self._built > degree_bound:
+            return IdealSpan(self.gens).memberships(targets, degree_bound)
+        results = [MembershipResult.not_found(degree_bound) for _ in targets]
+        pending = list(range(len(targets)))
+        for d in range(max(self._built, 0), degree_bound + 1):
+            if not pending:
+                break
+            self.build_to(d)
+            still = []
+            for i in pending:
+                cert = self.try_reduce_to_zero(targets[i]) if targets[i].degree() <= d else None
+                if cert is None:
+                    still.append(i)
+                else:
+                    results[i] = MembershipResult.found(cert, d)
+            pending = still
+        return results
+
+    def membership(self, target: FreePoly, degree_bound: int) -> MembershipResult:
+        """memberships() for one target whose degree must fit the bound."""
         if target.degree() > degree_bound:
             raise DegreeBoundTooSmall(
                 f"target has degree {target.degree()} > bound {degree_bound}"
             )
-        if target.is_zero():
-            return MembershipResult.found(Certificate([]), 0)
-        if self._built > degree_bound:
-            cert = self.try_reduce_to_zero(target)
-            if cert is not None and cert.max_degree(self.gens) <= degree_bound:
-                return MembershipResult.found(cert, degree_bound)
-            return IdealSpan(self.gens).membership(target, degree_bound)
-        start = max(self._built, 0)
-        for d in range(start, degree_bound + 1):
-            self.build_to(d)
-            cert = self.try_reduce_to_zero(target)
-            if cert is not None:
-                return MembershipResult.found(cert, d)
-        return MembershipResult.not_found(degree_bound)
+        return self.memberships([target], degree_bound)[0]
 
 
 def ideal_membership(gens: IdealGens, target: FreePoly, degree_bound: int) -> MembershipResult:

@@ -49,9 +49,11 @@ class Arrow:
 class Quiver:
     """A finite quiver with named vertices and arrows.
 
-    Acyclicity is enforced unless require_acyclic=False (used only for the
-    Morita-shape output of glued_quiver, which carries loops and never feeds
-    a representation).
+    Acyclicity is enforced unless require_acyclic=False.  Two quivers with
+    loops use it: the Morita-shape output of glued_quiver, which never feeds
+    a representation, and the one-vertex quiver with one loop per letter on
+    which the specialization test computes the centralizer of the assigned
+    matrices as an End space.
     """
 
     def __init__(self, vertices, arrows, require_acyclic: bool = True):

@@ -215,11 +215,18 @@ def end_basis(M: Representation) -> IntertwinerBasis:
     return hom_basis(M, M)
 
 
-def is_brick(M: Representation) -> bool:
-    """True iff End(M) is one-dimensional.  Raises ZeroModule on the zero module."""
+def end_dim(M: Representation) -> int:
+    """dim End(M), from one solve of the intertwiner system.  Raises
+    ZeroModule on the zero module; dim Ext^1(M, M) is this minus the Euler
+    form <dim M, dim M>."""
     if M.total_dim() == 0:
         raise ZeroModule("the zero module is not a brick candidate")
-    return hom_basis(M, M).dimension == 1
+    return hom_basis(M, M).dimension
+
+
+def is_brick(M: Representation) -> bool:
+    """True iff End(M) is one-dimensional.  Raises ZeroModule on the zero module."""
+    return end_dim(M) == 1
 
 
 def euler_form(q: Quiver, alpha: dict[str, int], beta: dict[str, int]) -> int:
@@ -240,7 +247,8 @@ def ext1_dim(M: Representation, N: Representation) -> int:
 
 def is_exceptional(M: Representation) -> bool:
     """Brick with no self-extensions."""
-    return is_brick(M) and ext1_dim(M, M) == 0
+    end = end_dim(M)
+    return end == 1 and end - euler_form(M.quiver, M.dims, M.dims) == 0
 
 
 def kernel_image(M: Representation, arrow_name: str) -> tuple[Subspace, Subspace]:

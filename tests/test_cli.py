@@ -204,3 +204,40 @@ class TestVerify:
                          "--sizes", "1,2", "--seed", "42", "--out", str(out)])
             assert code == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_modular_artifact_is_not_refuted(self, workdir, capsys):
+        # b = [0; 101] vanishes mod 101, so the mod-p trials see a non-brick;
+        # over QQ the module is a brick and the hom an epimorphism
+        (workdir / "r101.rep").write_text(
+            "quiver kronecker.quiver\ndims 1=1 2=2\nmap a 1 ; 0\nmap b 0 ; 101\n"
+        )
+        hom = self.build_hom(workdir, capsys, "brick", workdir / "r101.rep")
+        code, report = run(capsys, ["verify", hom])
+        assert code == 0
+        assert report["verdict"] == "Verified"
+        trials = report["specialization"]["trials"]
+        artifacts = [t for t in trials if "modular_artifact" in t]
+        assert artifacts
+        for t in artifacts:
+            assert t["dim_path_algebra"] == t["dim_matrix_algebra"]
+            assert t["modular_artifact"]["dim_path_algebra"] > t["dim_path_algebra"]
+
+    def test_denominator_divisible_by_101(self, workdir, capsys):
+        (workdir / "rinv.rep").write_text(
+            "quiver kronecker.quiver\ndims 1=1 2=2\nmap a 1 ; 0\nmap b 0 ; 1/101\n"
+        )
+        hom = self.build_hom(workdir, capsys, "brick", workdir / "rinv.rep")
+        code, report = run(capsys, ["verify", hom])
+        assert code == 0
+        assert report["verdict"] == "Verified"
+
+    def test_zero_denominator_in_hom_file(self, workdir, capsys):
+        hom = self.build_hom(workdir, capsys, "brick", workdir / "brick.rep")
+        data = json.loads(hom.read_text())
+        data["arrow_images"]["a"][1][0] = "1/0"
+        hom.write_text(json.dumps(data))
+        code = main(["verify", str(hom)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert captured.out == ""

@@ -2,9 +2,12 @@ import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quiverepi.exactlin import GF, QQ, ExactMatrix
 from quiverepi.epibuild import (
+    _trial_dims,
     AlgebraHom,
     DimensionTooSmall,
     EndpointMismatch,
@@ -38,7 +41,13 @@ from quiverepi.epibuild import (
 )
 from quiverepi.freealg import FreeMat, IdealGens, IdealSpan
 from quiverepi.quiver import CycleError, Quiver, parse_quiver
-from quiverepi.quiverrep import Representation, ZeroModule, direct_sum, hom_basis
+from quiverepi.quiverrep import (
+    Representation,
+    ZeroModule,
+    direct_sum,
+    hom_basis,
+    is_brick,
+)
 
 
 @pytest.fixture(scope="module")
@@ -555,6 +564,66 @@ class TestRefutation:
         o1 = specialization_refutation_test(h, trials=5, sizes=(1, 2), seed=3)
         o2 = specialization_refutation_test(h, trials=5, sizes=(1, 2), seed=3)
         assert o1.to_json_dict() == o2.to_json_dict()
+
+
+    def test_loop_quiver_centralizer(self, a2_brick, kron_extension_hom, kronecker):
+        def centralizer_dim(h, assignment, ell):
+            loops = Quiver(["*"], [(x, "*", "*") for x in h.algebra.letters],
+                           require_acyclic=False)
+            mats = {x: ExactMatrix(QQ, m) for x, m in assignment.items()}
+            return _trial_dims(h, loops, mats, ell)[1]
+
+        assert centralizer_dim(build_brick_hom(a2_brick), {}, 3) == 9
+        generic = [[1, 2], [3, 4]]
+        assert centralizer_dim(kron_extension_hom, {"x[b]_1_1": generic}, 2) == 2
+        h = canonical_generic_hom(kronecker, {"1": 1, "2": 1})
+        assert centralizer_dim(h, {"x[a]_1_1": generic, "x[b]_1_1": [[0, 1], [1, 1]]}, 2) == 1
+
+
+# small A2, A3 and Kronecker modules; the entry 101 vanishes in GF(101), where
+# the specialization trials of rational homs run
+SHAPES = [
+    (parse_quiver("vertices 1 2\narrow a 1 2\n"), [{"1": 1, "2": 1}]),
+    (parse_quiver("vertices 1 2 3\narrow a 1 2\narrow b 2 3\n"),
+     [{"1": 1, "2": 1, "3": 1}, {"1": 1, "2": 1, "3": 0}]),
+    (parse_quiver("vertices 1 2\narrow a 1 2\narrow b 1 2\n"),
+     [{"1": 1, "2": 1}, {"1": 1, "2": 2}, {"1": 2, "2": 1}]),
+]
+ENTRIES = st.sampled_from([-2, -1, 0, 1, 2, 101])
+
+
+def draw_module(data, q, dims_choices) -> Representation:
+    dims = data.draw(st.sampled_from(dims_choices))
+    maps = {a.name: [[data.draw(ENTRIES) for _ in range(dims[a.source])]
+                     for _ in range(dims[a.target])]
+            for a in q.arrows}
+    return Representation(q, dims, maps)
+
+
+class TestRefutationProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_brick_hom_never_refuted(self, data):
+        q, dims_choices = data.draw(st.sampled_from(SHAPES))
+        m = draw_module(data, q, dims_choices)
+        assume(is_brick(m))
+        out = specialization_refutation_test(build_brick_hom(m), trials=2, sizes=(1, 2))
+        assert out.passed
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_direct_sum_refuted_over_qq(self, data):
+        q, dims_choices = data.draw(st.sampled_from(SHAPES))
+        h = build_brick_hom(direct_sum(draw_module(data, q, dims_choices),
+                                       draw_module(data, q, dims_choices)),
+                            allow_non_brick=True)
+        out = specialization_refutation_test(h, trials=2, sizes=(1, 2))
+        assert not out.passed
+        w = out.witness
+        rep = specialize(h, {}, size=w["size"])
+        assert rep.field == QQ
+        assert hom_basis(rep, rep).dimension == w["dim_path_algebra"]
+        assert w["dim_path_algebra"] > w["dim_matrix_algebra"] == w["size"] ** 2
 
 
 class TestGluedQuiver:

@@ -102,6 +102,10 @@ class TestPolyText:
             xy.parse("x + ")
         with pytest.raises(PolyParseError):
             xy.parse("")
+        with pytest.raises(PolyParseError):
+            xy.parse("1/0*x")
+        with pytest.raises(PolyParseError):
+            FreeAlgebra(GF(101), ["x"]).parse("x + 1/101")
 
 
 class TestFreeMat:
@@ -223,6 +227,24 @@ class TestMembership:
         assert span.membership(t1, 2).member
         assert span.membership(t2, 2).member
         assert not span.membership(vxy.letter("v2_1"), 2).member
+
+    def test_batch_matches_fresh_memberships(self, xy):
+        x, y = xy.letter("x"), xy.letter("y")
+        gens = IdealGens(xy, [y * x - 1, x * y * x])
+        targets = [x, y * x - 1, x * y, xy.zero(), x * y * x * y - x * y,
+                   y * y * y * y]
+        bound = 3
+        batch = IdealSpan(gens).memberships(targets, bound)
+        for target, res in zip(targets, batch):
+            if target.degree() > bound:
+                assert not res.member and res.searched_degree == bound
+                continue
+            fresh = IdealSpan(gens).membership(target, bound)
+            assert (res.member, res.searched_degree) == (fresh.member, fresh.searched_degree)
+            if res.member:
+                assert res.certificate.terms == fresh.certificate.terms
+                assert res.certificate.evaluate(gens) == target
+        assert [r.member for r in batch] == [True, True, False, True, False, False]
 
     def test_overbuilt_span_stays_honest(self, xy):
         # x = xyx - x(yx - 1) needs degree-3 products; a span built to 3

@@ -1,0 +1,146 @@
+"""Byte-level pins on the CLI reports of the shipped catalogue.
+
+Each case builds one hom with `quiverepi build ... --out` and verifies it
+with `quiverepi verify` at the default settings, all through cli.main in a
+scratch directory with relative paths.  The SHA-256 of the build report, the
+hom file and the verify report must match the recorded digests, so a change
+meant to keep behaviour (a refactor, a merged code path) cannot alter a
+single byte of output unnoticed.  A change that means to alter a report
+re-records the digests and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from quiverepi.cli import main
+
+QUIVERS = {
+    "a2.quiver": "vertices 1 2\narrow a 1 2\n",
+    "a3.quiver": "vertices 1 2 3\narrow a 1 2\narrow b 2 3\n",
+    "kronecker.quiver": "vertices 1 2\narrow a 1 2\narrow b 1 2\n",
+}
+
+REPS = {
+    "a2_s1.rep": "quiver a2.quiver\ndims 1=1 2=0\n",
+    "a2_s2.rep": "quiver a2.quiver\ndims 1=0 2=1\n",
+    "a2_p12.rep": "quiver a2.quiver\ndims 1=1 2=1\nmap a 1\n",
+    "a3_s1.rep": "quiver a3.quiver\ndims 1=1 2=0 3=0\n",
+    "a3_s2.rep": "quiver a3.quiver\ndims 1=0 2=1 3=0\n",
+    "a3_s3.rep": "quiver a3.quiver\ndims 1=0 2=0 3=1\n",
+    "a3_i12.rep": "quiver a3.quiver\ndims 1=1 2=1 3=0\nmap a 1\n",
+    "a3_i23.rep": "quiver a3.quiver\ndims 1=0 2=1 3=1\nmap b 1\n",
+    "a3_i123.rep": "quiver a3.quiver\ndims 1=1 2=1 3=1\nmap a 1\nmap b 1\n",
+    "kr_pre12.rep": "quiver kronecker.quiver\ndims 1=1 2=2\nmap a 1 ; 0\nmap b 0 ; 1\n",
+    "kr_reg.rep": "quiver kronecker.quiver\ndims 1=1 2=1\nmap a 1\n",
+}
+
+# case name -> `build` arguments before --out
+BUILDS = {
+    **{rep[:-4]: ["brick", rep] for rep in REPS if rep != "kr_reg.rep"},
+    "extend": ["extend", "a2_p12.rep", "kronecker.quiver"],
+    **{f"invariant_{case}": ["invariant", "kr_reg.rep", "b", case]
+       for case in ("i", "ii", "iii", "iv")},
+}
+
+# case name -> SHA-256 of (build report, hom file, verify report)
+DIGESTS = {
+    "a2_p12": (
+        "68b1fda2cfc502500be89bf85879c13187f037998a9cf51d9dd22540b872323d",
+        "4c9f440db0c462040a6e55be9b09549e23c1eb3925264581a03142137797ae44",
+        "c4673834066259b734fd1bea8a5f2a67717943f1f8d325c0ce45580463cdf6e1",
+    ),
+    "a2_s1": (
+        "e6ad75e60615e99e5ce7a6a3a569cac803d1b9f5b04da38e4f225e483451fa39",
+        "88c8595340ec1cb7aa83555dc4e94710b735b8fb94e58f003a0c6dafecb002e5",
+        "46e81ce091152fa28fb6c04082a41fb03d20be6c6ee847279ab90d2e51a3f0ea",
+    ),
+    "a2_s2": (
+        "d6920f20cb1b641412606e196f279c6228d5842626120308a435092d14928a30",
+        "1a4c7be746037068d825f10202fde250e24b22f8ab785599385f54ed6a73450a",
+        "46e81ce091152fa28fb6c04082a41fb03d20be6c6ee847279ab90d2e51a3f0ea",
+    ),
+    "a3_i12": (
+        "d4be5c89e0b88a36d998975b469627ae1c54acaffcb8105ba821c3709a7db972",
+        "a1d4a759a7bb73461a7cb06716cc532ed331d90088fd42070225577a4814e19e",
+        "c4673834066259b734fd1bea8a5f2a67717943f1f8d325c0ce45580463cdf6e1",
+    ),
+    "a3_i123": (
+        "10de4974229b9c82e0fccdfb2f3fab01a6e65b3b51fe47107175e9eb8a410904",
+        "5b30b95afa5db3dfa586ac73d20f58f8500213053e5d9a471d2b6b6166064459",
+        "55f42ae08b3235526bfa440e52831d9b65ed3d29bf7c729bdd1bb01d7aba4823",
+    ),
+    "a3_i23": (
+        "8fdaf0288dd5c01d42b88989de5ef1b79372721675f5c58576b60f92a9c766f1",
+        "c0dc2734120a96ba0c5fce477e22b68e6fc0812675ece33dbeeb9d59c1f693ff",
+        "c4673834066259b734fd1bea8a5f2a67717943f1f8d325c0ce45580463cdf6e1",
+    ),
+    "a3_s1": (
+        "23612336b3b695c7e2bf39fbce899ca35c3b07b3e069601cf8a3e7bc4e173ed4",
+        "0cfed15a43d3bda13e5fad4dcdcca7eaf907bb3d650ad6c985401da9a399f97c",
+        "46e81ce091152fa28fb6c04082a41fb03d20be6c6ee847279ab90d2e51a3f0ea",
+    ),
+    "a3_s2": (
+        "8f26fef71f7150e0db6029c9bbdfd193e2c6a59064017fa77913b37773f766a6",
+        "a9eb458e957790b613758e83e373fa08ead50dc4faf6c8596971186490f482bc",
+        "46e81ce091152fa28fb6c04082a41fb03d20be6c6ee847279ab90d2e51a3f0ea",
+    ),
+    "a3_s3": (
+        "1fd8356a0d27e6de61011a0860b9085e73b8d2bf27b671243b9409141e231946",
+        "e5fab2482f640adbeb902e071c7b2a1810af05bb4f3c42348fcf90aca807f6eb",
+        "46e81ce091152fa28fb6c04082a41fb03d20be6c6ee847279ab90d2e51a3f0ea",
+    ),
+    "extend": (
+        "e82874be83af067d56aa19e418b91d2dadcfd01233400a9bef7737e063bc1684",
+        "7f7b58f0f5cec0f6622f13e40e1cfc4c4051d40a0e21434b4f3c4351ff88dc57",
+        "6749b20ba423c0693580e92cad8c5706a3d28d1566b981627c6891eb69f8d49b",
+    ),
+    "invariant_i": (
+        "b65ab02840f2fd081e055afd41ff1612483431e74a0907c11fda4646d6faba92",
+        "a1c67c172826939b7763062bbb0b83cffce0533021033d42b725baed369dd8cb",
+        "edc054c8cc5d29b9f938bdd57340c44abcf710dbe8645bf9f02c399f8052529d",
+    ),
+    "invariant_ii": (
+        "1ba6f5efe288e91b1c65a1af676c6b2a9ba2571398dc238cb0347ef4c2c8581f",
+        "a1c67c172826939b7763062bbb0b83cffce0533021033d42b725baed369dd8cb",
+        "edc054c8cc5d29b9f938bdd57340c44abcf710dbe8645bf9f02c399f8052529d",
+    ),
+    "invariant_iii": (
+        "65cc88b5945824971826b1d30a887a69efb693cd69a7a5ca3d18e88b82d4899a",
+        "a1c67c172826939b7763062bbb0b83cffce0533021033d42b725baed369dd8cb",
+        "edc054c8cc5d29b9f938bdd57340c44abcf710dbe8645bf9f02c399f8052529d",
+    ),
+    "invariant_iv": (
+        "d470ad5c5e6eec8e8386963897abf8ddee80fa9c2a7d44be3d48eadc1ef59875",
+        "a1c67c172826939b7763062bbb0b83cffce0533021033d42b725baed369dd8cb",
+        "edc054c8cc5d29b9f938bdd57340c44abcf710dbe8645bf9f02c399f8052529d",
+    ),
+    "kr_pre12": (
+        "bf24ead902ef1830fef303f724765d3ae70e0285a73524acf59bf6049af73268",
+        "1dcdc86a30659254f2a764d486fd282220b85a3a82640e289f16af472b4a3593",
+        "13eee48aabe497cada2d8b07cd4f00e6c2f2697cb213834dc1674b3282686da0",
+    ),
+}
+
+
+def case_outputs(name: str, capsys) -> tuple[bytes, bytes, bytes]:
+    """Run one case in the current directory; returns the three outputs."""
+    for fname, text in {**QUIVERS, **REPS}.items():
+        with open(fname, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    hom = f"{name}.hom.json"
+    capsys.readouterr()
+    assert main(["build", *BUILDS[name], "--out", hom]) == 0
+    build_report = capsys.readouterr().out
+    with open(hom, "rb") as fh:
+        hom_bytes = fh.read()
+    assert main(["verify", hom]) == 0
+    verify_report = capsys.readouterr().out
+    return build_report.encode(), hom_bytes, verify_report.encode()
+
+
+@pytest.mark.parametrize("name", sorted(BUILDS))
+def test_report_digests(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    got = tuple(hashlib.sha256(b).hexdigest() for b in case_outputs(name, capsys))
+    assert got == DIGESTS[name]
