@@ -117,6 +117,12 @@ class InvalidHom(EpibuildError):
     """A structural invariant of an AlgebraHom failed."""
 
 
+class CertificateMismatch(RuntimeError):
+    """A membership certificate did not re-evaluate to its target.  This is a
+    fault of the span engine, not of the input, so it is deliberately not an
+    EpibuildError and the CLI does not report it as one."""
+
+
 def commutant_letters(n: int) -> list[str]:
     """Names of the n x n commutant indeterminates v_ij, row-major, 1-based."""
     return [f"v{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
@@ -775,7 +781,9 @@ def verify_epimorphism(h: AlgebraHom, degree_bound: int | None = None) -> EpiRep
     """The ideal criterion: build the commutant ideal generators and check
     membership of every required element up to degree_bound, lazily raising
     the span degree and stopping early.  Verified only when every element
-    has a certificate; otherwise Undetermined (never Refuted here).
+    has a certificate, and every certificate is re-evaluated exactly before
+    it is reported (CertificateMismatch otherwise); when one is missing the
+    verdict is Undetermined (never Refuted here).
 
     The default bound is 2 + max generator degree + max target degree (2
     when there are no targets)."""
@@ -788,6 +796,8 @@ def verify_epimorphism(h: AlgebraHom, degree_bound: int | None = None) -> EpiRep
     for (label, poly), res in zip(targets, results):
         entry = {"element": label, "poly": poly.to_text(), "member": res.member}
         if res.member:
+            if res.certificate.evaluate(gens) != poly:
+                raise CertificateMismatch(f"certificate for {label} does not re-evaluate to it")
             entry["degree"] = res.searched_degree
             entry["certificate"] = res.certificate.to_json(h.field)
         else:
@@ -995,6 +1005,9 @@ def specialization_refutation_test(h: AlgebraHom, trials: int = 20,
     rng = random.Random(seed)
     sizes = list(sizes)
     log = []
+    # (size, assignment) -> (dims, modular artifact); with no letters nothing
+    # is drawn, and every trial of one size repeats the first
+    done: dict[tuple, tuple] = {}
     for t in range(trials):
         ell = sizes[t % len(sizes)]
         assignment = {
@@ -1003,15 +1016,22 @@ def specialization_refutation_test(h: AlgebraHom, trials: int = 20,
                            cols=ell)
             for x in hs.algebra.letters
         }
-        dim_path, dim_matrix = _trial_dims(hs, loops, assignment, ell)
+        key = (ell, tuple(m.entries for m in assignment.values()))
+        if key not in done:
+            dim_path, dim_matrix = _trial_dims(hs, loops, assignment, ell)
+            modular = None
+            if dim_path > dim_matrix and h.field == QQ:
+                modular = {"prime": field.p, "dim_path_algebra": dim_path,
+                           "dim_matrix_algebra": dim_matrix}
+                dim_path, dim_matrix = _trial_dims(
+                    h, loops, {x: m.convert(h.field) for x, m in assignment.items()}, ell)
+                if dim_path > dim_matrix:
+                    modular = None
+            done[key] = (dim_path, dim_matrix, modular)
+        dim_path, dim_matrix, modular = done[key]
         entry = {"trial": t, "size": ell}
-        if dim_path > dim_matrix and h.field == QQ:
-            modular = {"prime": field.p, "dim_path_algebra": dim_path,
-                       "dim_matrix_algebra": dim_matrix}
-            dim_path, dim_matrix = _trial_dims(
-                h, loops, {x: m.convert(h.field) for x, m in assignment.items()}, ell)
-            if dim_path == dim_matrix:
-                entry["modular_artifact"] = modular
+        if modular is not None:
+            entry["modular_artifact"] = modular
         entry.update(dim_path_algebra=dim_path, dim_matrix_algebra=dim_matrix)
         log.append(entry)
         if dim_path > dim_matrix:

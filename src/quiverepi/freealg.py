@@ -579,14 +579,28 @@ class IdealSpan:
     zero yield certificates for free.  Products are inserted in a fixed
     order (degree, generator index, left length, left word, right word), so
     the state after build_to(d) is deterministic.
+
+    Rows are never changed once stored, so a row whose only term is its lead
+    (a monomial row) puts that word itself in the span.  A product whose
+    words are all monomial-row leads is therefore already in the span:
+    reducing it would cancel one term per step, reach zero and store
+    nothing, so it is skipped.  A single-word product whose word leads no
+    row would come out of the reduction untouched, so it is stored directly.
+    Both shortcuts leave the stored rows exactly as the full reduction would.
     """
 
     def __init__(self, gens: IdealGens):
         self.gens = gens
         self.algebra = gens.algebra
         self._rows: dict[Word, tuple[dict, dict]] = {}
+        self._monomial_leads: set[Word] = set()
         self._built = -1
         self._word_cache: dict[int, list[Word]] = {}
+        f = self.algebra.field
+        self._one = f.one()
+        # c^-1 for each single-term generator c*w, None for the others
+        self._monomial_inv = [f.inv(next(iter(g.terms.values()))) if len(g.terms) == 1 else None
+                              for g in gens.generators]
 
     def _words(self, d: int) -> list[Word]:
         if d not in self._word_cache:
@@ -611,8 +625,21 @@ class IdealSpan:
 
     def _insert(self, wl: Word, gi: int, wr: Word):
         g = self.gens.generators[gi]
+        monomial_leads = self._monomial_leads
+        # the two monomial-row shortcuts of the class docstring
+        c_inv = self._monomial_inv[gi]
+        if c_inv is not None:
+            word = wl + next(iter(g.terms)) + wr
+            if word in monomial_leads:
+                return
+            if word not in self._rows:
+                self._rows[word] = ({word: self._one}, {(wl, gi, wr): c_inv})
+                monomial_leads.add(word)
+                return
+        elif all(wl + w + wr in monomial_leads for w in g.terms):
+            return
         terms = {wl + w + wr: c for w, c in g.terms.items()}
-        combo = {(wl, gi, wr): self.algebra.field.one()}
+        combo = {(wl, gi, wr): self._one}
         lead, terms, combo = self._reduce(terms, combo)
         if lead is None:
             return
@@ -621,6 +648,8 @@ class IdealSpan:
         terms = {w: f.mul(inv, c) for w, c in terms.items()}
         combo = {k: f.mul(inv, c) for k, c in combo.items()}
         self._rows[lead] = (terms, combo)
+        if len(terms) == 1:
+            monomial_leads.add(lead)
 
     def _reduce(self, terms: dict, combo: dict):
         """Eliminate leading monomials against stored rows.
@@ -639,18 +668,17 @@ class IdealSpan:
                 return lead, terms, combo
             c = terms[lead]
             row_terms, row_combo = row
-            for w, rc in row_terms.items():
-                s = f.sub(terms.get(w, f.zero()), f.mul(c, rc))
-                if f.is_zero(s):
-                    terms.pop(w, None)
-                else:
-                    terms[w] = s
-            for k, rc in row_combo.items():
-                s = f.sub(combo.get(k, f.zero()), f.mul(c, rc))
-                if f.is_zero(s):
-                    combo.pop(k, None)
-                else:
-                    combo[k] = s
+            for acc, items in ((terms, row_terms.items()), (combo, row_combo.items())):
+                for k, rc in items:
+                    m = f.mul(c, rc)
+                    if k in acc:
+                        s = f.sub(acc[k], m)
+                        if f.is_zero(s):
+                            del acc[k]
+                        else:
+                            acc[k] = s
+                    else:
+                        acc[k] = f.neg(m)
         return None, terms, combo
 
     def try_reduce_to_zero(self, target: FreePoly) -> Certificate | None:

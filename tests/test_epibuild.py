@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -5,10 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from quiverepi import cli, epibuild
 from quiverepi.exactlin import GF, QQ, ExactMatrix
 from quiverepi.epibuild import (
     _trial_dims,
     AlgebraHom,
+    CertificateMismatch,
     DimensionTooSmall,
     EndpointMismatch,
     FullRank,
@@ -304,6 +307,11 @@ class TestGlueVertex:
         assert h.algebra.letters == ("x1", "x2")
         rep = verify_epimorphism(h, 3)
         assert rep.verdict == "Verified"
+        # the whole report (generators and certificates), recorded with the
+        # plain reduction, before the span's monomial-row shortcuts
+        text = json.dumps(rep.to_json_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "6309d649ff2e4917cf39d94a67639c96f5e142b7c6c9cc560304cd4289b0a85e")
 
 
 class TestCanonicalAndFactor:
@@ -422,6 +430,27 @@ class TestVerifyEpimorphism:
                 for t in element["certificate"]
             ])
             assert cert.evaluate(gens) == combined.parse(element["poly"])
+
+    def test_corrupted_span_is_never_verified(self, a2_brick, monkeypatch, tmp_path):
+        class CorruptSpan(IdealSpan):
+            """Doubles every stored combination after each build."""
+
+            def build_to(self, degree):
+                super().build_to(degree)
+                for _, combo in self._rows.values():
+                    for k in combo:
+                        combo[k] = combo[k] * 2
+
+        h = build_brick_hom(a2_brick)
+        hom = tmp_path / "p12.hom.json"
+        hom.write_text(json.dumps(h.to_json_dict()), encoding="utf-8")
+        monkeypatch.setattr(epibuild, "IdealSpan", CorruptSpan)
+        with pytest.raises(CertificateMismatch):
+            verify_epimorphism(h, 1)
+        # an internal fault, not an input error: the CLI does not turn it into exit 2
+        assert not issubclass(CertificateMismatch, cli.INPUT_ERRORS)
+        with pytest.raises(CertificateMismatch):
+            cli.main(["verify", str(hom)])
 
     def test_tiny_bound_undetermined(self, kron_extension_hom):
         rep = verify_epimorphism(kron_extension_hom, 1)
@@ -558,6 +587,20 @@ class TestRefutation:
     def test_kronecker_extension_passes(self, kron_extension_hom):
         out = specialization_refutation_test(kron_extension_hom, trials=10, sizes=(1, 2), seed=5)
         assert out.passed
+
+    def test_letterless_trials_computed_once_per_size(self, a2_brick, monkeypatch):
+        calls = []
+
+        def counted(h, loops, assignment, ell):
+            calls.append(ell)
+            return _trial_dims(h, loops, assignment, ell)
+
+        monkeypatch.setattr(epibuild, "_trial_dims", counted)
+        out = specialization_refutation_test(build_brick_hom(a2_brick), trials=20,
+                                             sizes=(1, 2), seed=0)
+        assert out.passed
+        assert calls == [1, 2]
+        assert [(t["trial"], t["size"]) for t in out.trials] == [(t, 1 + t % 2) for t in range(20)]
 
     def test_deterministic(self, a2_brick):
         h = build_brick_hom(a2_brick)

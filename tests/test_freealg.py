@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quiverepi.exactlin import GF, QQ
 from quiverepi.freealg import (
@@ -264,3 +266,98 @@ class TestMembership:
         again = span.membership(g1, 2)
         assert again.member
         assert again.certificate.max_degree(gens) <= 2
+
+
+class ReferenceSpan(IdealSpan):
+    """IdealSpan with the plain insertion: every product is reduced in full
+    against the stored rows, with no monomial-row shortcut."""
+
+    def _insert(self, wl, gi, wr):
+        g = self.gens.generators[gi]
+        terms = {wl + w + wr: c for w, c in g.terms.items()}
+        combo = {(wl, gi, wr): self.algebra.field.one()}
+        lead, terms, combo = self._reduce(terms, combo)
+        if lead is None:
+            return
+        f = self.algebra.field
+        inv = f.inv(terms[lead])
+        terms = {w: f.mul(inv, c) for w, c in terms.items()}
+        combo = {k: f.mul(inv, c) for k, c in combo.items()}
+        self._rows[lead] = (terms, combo)
+
+    def _reduce(self, terms, combo):
+        f = self.algebra.field
+        key = self.algebra.monomial_key
+        while terms:
+            lead = max(terms, key=key)
+            row = self._rows.get(lead)
+            if row is None:
+                return lead, terms, combo
+            c = terms[lead]
+            row_terms, row_combo = row
+            for w, rc in row_terms.items():
+                s = f.sub(terms.get(w, f.zero()), f.mul(c, rc))
+                if f.is_zero(s):
+                    terms.pop(w, None)
+                else:
+                    terms[w] = s
+            for k, rc in row_combo.items():
+                s = f.sub(combo.get(k, f.zero()), f.mul(c, rc))
+                if f.is_zero(s):
+                    combo.pop(k, None)
+                else:
+                    combo[k] = s
+        return None, terms, combo
+
+
+SPAN_WORDS = st.lists(st.sampled_from("xyz"), min_size=0, max_size=2).map(tuple)
+SPAN_COEFFS = st.sampled_from([1, -1, 2, Fraction(1, 3)])
+
+
+@st.composite
+def span_generators(draw, algebra):
+    """1-4 generators, each a single word, a +-1 binomial or a binomial with
+    non-unit coefficients."""
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["word", "unit binomial", "binomial"]))
+        w1 = draw(SPAN_WORDS)
+        if kind == "word":
+            gens.append(algebra.monomial(w1, draw(SPAN_COEFFS)))
+            continue
+        w2 = draw(SPAN_WORDS.filter(lambda w: w != w1))
+        if kind == "unit binomial":
+            c1, c2 = 1, draw(st.sampled_from([1, -1]))
+        else:
+            c1, c2 = draw(SPAN_COEFFS), draw(SPAN_COEFFS)
+        gens.append(algebra.poly({w1: c1, w2: c2}))
+    return gens
+
+
+class TestSpanShortcuts:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_rows_and_certificates_match_plain_reduction(self, data):
+        field = data.draw(st.sampled_from([QQ, GF(101)]))
+        alg = FreeAlgebra(field, ["x", "y", "z"])
+        gens = IdealGens(alg, data.draw(span_generators(alg)))
+        degree = data.draw(st.integers(0, 3))
+        span, ref = IdealSpan(gens), ReferenceSpan(gens)
+        span.build_to(degree)
+        ref.build_to(degree)
+        assert list(span._rows.items()) == list(ref._rows.items())
+        # sandwiched generators (members) plus stray words (mostly not)
+        targets = []
+        for _ in range(4):
+            g = data.draw(st.sampled_from(gens.generators))
+            wl, wr = data.draw(SPAN_WORDS), data.draw(SPAN_WORDS)
+            target = alg.monomial(wl) * g * alg.monomial(wr)
+            if data.draw(st.booleans()):
+                target = target + alg.monomial(data.draw(SPAN_WORDS))
+            targets.append(target)
+        for target in targets:
+            got, want = span.try_reduce_to_zero(target), ref.try_reduce_to_zero(target)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.terms == want.terms
+                assert got.evaluate(gens) == target
