@@ -65,6 +65,7 @@ from .freealg import (
     FreePoly,
     IdealGens,
     MembershipResult,
+    decide_memberships,
     ideal_membership,
 )
 from .epibuild import (

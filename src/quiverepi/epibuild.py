@@ -39,7 +39,7 @@ from .freealg import (
     FreeMat,
     FreePoly,
     IdealGens,
-    IdealSpan,
+    decide_memberships,
     default_degree_bound,
 )
 from .quiver import BlockLayout, Quiver, block_layout
@@ -779,11 +779,12 @@ def required_elements(h: AlgebraHom, combined: FreeAlgebra) -> list[tuple[str, F
 
 def verify_epimorphism(h: AlgebraHom, degree_bound: int | None = None) -> EpiReport:
     """The ideal criterion: build the commutant ideal generators and check
-    membership of every required element up to degree_bound, lazily raising
-    the span degree and stopping early.  Verified only when every element
-    has a certificate, and every certificate is re-evaluated exactly before
-    it is reported (CertificateMismatch otherwise); when one is missing the
-    verdict is Undetermined (never Refuted here).
+    membership of every required element up to degree_bound with
+    freealg.decide_memberships (linear pre-elimination, then a residual span
+    raised lazily one degree at a time, stopping early).  Verified only when
+    every element has a certificate, and every certificate is re-evaluated
+    exactly before it is reported (CertificateMismatch otherwise); when one
+    is missing the verdict is Undetermined (never Refuted here).
 
     The default bound is 2 + max generator degree + max target degree (2
     when there are no targets)."""
@@ -791,7 +792,7 @@ def verify_epimorphism(h: AlgebraHom, degree_bound: int | None = None) -> EpiRep
     targets = required_elements(h, combined)
     if degree_bound is None:
         degree_bound = max((default_degree_bound(gens, p) for _, p in targets), default=2)
-    results = IdealSpan(gens).memberships([poly for _, poly in targets], degree_bound)
+    results = decide_memberships(gens, [poly for _, poly in targets], degree_bound)
     elements = []
     for (label, poly), res in zip(targets, results):
         entry = {"element": label, "poly": poly.to_text(), "member": res.member}

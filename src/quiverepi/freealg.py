@@ -587,11 +587,21 @@ class IdealSpan:
     nothing, so it is skipped.  A single-word product whose word leads no
     row would come out of the reduction untouched, so it is stored directly.
     Both shortcuts leave the stored rows exactly as the full reduction would.
+
+    A generator's weight is the degree at which its products enter: the
+    products of degree d are w_left * g * w_right with len(w_left) + weight +
+    len(w_right) = d.  The weight defaults to the generator's degree, which
+    gives the plain span of products of degree at most d.  The residual span
+    of decide_memberships weights each generator's normal form by the degree
+    of the original generator, so that its degree-d span is exactly the
+    normal form of the plain degree-d span of the original generators.
     """
 
-    def __init__(self, gens: IdealGens):
+    def __init__(self, gens: IdealGens, weights=None):
         self.gens = gens
         self.algebra = gens.algebra
+        self._weights = ([g.degree() for g in gens.generators] if weights is None
+                         else list(weights))
         self._rows: dict[Word, tuple[dict, dict]] = {}
         self._monomial_leads: set[Word] = set()
         self._built = -1
@@ -613,8 +623,8 @@ class IdealSpan:
             self._built = d
 
     def _insert_products_of_degree(self, d: int):
-        for gi, g in enumerate(self.gens.generators):
-            rem = d - g.degree()
+        for gi, weight in enumerate(self._weights):
+            rem = d - weight
             if rem < 0:
                 continue
             for left_len in range(rem + 1):
@@ -692,11 +702,7 @@ class IdealSpan:
             return None
         # the invariant gives target == -sum(combo * products)
         f = self.algebra.field
-        return Certificate(
-            [CertTerm(f.neg(c), wl, gi, wr) for (wl, gi, wr), c in sorted(
-                combo.items(), key=lambda kv: (kv[0][1], len(kv[0][0]), kv[0][0], kv[0][2])
-            )]
-        )
+        return _certificate({k: f.neg(c) for k, c in combo.items()})
 
     def memberships(self, targets: list[FreePoly], degree_bound: int) -> list[MembershipResult]:
         """Decide span membership of every target lazily, building one degree
@@ -708,7 +714,7 @@ class IdealSpan:
         above it, so such a span answers from a fresh engine instead.
         """
         if self._built > degree_bound:
-            return IdealSpan(self.gens).memberships(targets, degree_bound)
+            return IdealSpan(self.gens, self._weights).memberships(targets, degree_bound)
         results = [MembershipResult.not_found(degree_bound) for _ in targets]
         pending = list(range(len(targets)))
         for d in range(max(self._built, 0), degree_bound + 1):
@@ -734,12 +740,171 @@ class IdealSpan:
         return self.memberships([target], degree_bound)[0]
 
 
+def _certificate(combo: dict) -> Certificate:
+    """The certificate sum c * wl * g_gi * wr of a combination {(wl, gi, wr): c},
+    its terms sorted by generator index, left length, left word, right word."""
+    return Certificate([CertTerm(c, wl, gi, wr) for (wl, gi, wr), c in sorted(
+        combo.items(), key=lambda kv: (kv[0][1], len(kv[0][0]), kv[0][0], kv[0][2]))])
+
+
+def _add_term(f, acc: dict, key, c):
+    """acc[key] += c, dropping the entry when the sum is zero."""
+    s = f.add(acc[key], c) if key in acc else c
+    if f.is_zero(s):
+        acc.pop(key, None)
+    else:
+        acc[key] = s
+
+
+class LinearElimination:
+    """Pre-elimination of an ideal's generators of degree at most 1.
+
+    The generators of degree <= 1 are taken in index order.  Each is reduced
+    by the rows so far, every occurrence of a pivot letter rewritten, and
+    stored monic under its leading letter (its pivot), with the combination
+    of generator products that produced it, like IdealSpan's rows: terms ==
+    sum(combo * products).  One that reduces to zero is dropped; one that
+    reduces to a nonzero constant joins the residual generators.  A new
+    pivot is also rewritten in the earlier rows, so no row holds another
+    row's pivot and a word's rewriting takes one step per pivot letter.
+
+    Rewriting by these rows (normal_form) is the algebra map sending each
+    pivot letter to its normal form.  It kills every row, and no two pivots
+    overlap, so the normal form is unique; rewriting the leftmost pivot
+    first also fixes the combination.  The residual generators are the
+    nonzero normal forms of the generators of degree >= 2 and the constant
+    ones, in index order, over the non-pivot letters in their original
+    order, each weighted by its original generator's degree.
+    """
+
+    def __init__(self, gens: IdealGens):
+        self.gens = gens
+        algebra = gens.algebra
+        f = algebra.field
+        one = f.one()
+        self._rows: dict[str, tuple[dict, dict]] = {}
+        residual = []  # (generator index, normal form, lift)
+
+        def lift_of(gi, combo):
+            # the combination giving g_gi - sum(combo * products)
+            lift = {k: f.neg(c) for k, c in combo.items()}
+            _add_term(f, lift, ((), gi, ()), one)
+            return lift
+
+        for gi, g in enumerate(gens.generators):
+            if g.degree() > 1:
+                continue
+            terms, combo = self.normal_form(g.terms)
+            if not terms:
+                continue
+            lift = lift_of(gi, combo)
+            lead = max(terms, key=algebra.monomial_key)
+            if not lead:
+                residual.append((gi, terms, lift))
+                continue
+            inv = f.inv(terms[lead])
+            row = ({w: f.mul(inv, c) for w, c in terms.items()},
+                   {k: f.mul(inv, c) for k, c in lift.items()})
+            for earlier_terms, earlier_combo in self._rows.values():
+                c = earlier_terms.pop(lead, None)
+                if c is not None:
+                    for w, rc in row[0].items():
+                        if w != lead:
+                            _add_term(f, earlier_terms, w, f.neg(f.mul(c, rc)))
+                    for k, rc in row[1].items():
+                        _add_term(f, earlier_combo, k, f.neg(f.mul(c, rc)))
+            self._rows[lead[0]] = row
+        for gi, g in enumerate(gens.generators):
+            if g.degree() > 1:
+                terms, combo = self.normal_form(g.terms)
+                if terms:
+                    residual.append((gi, terms, lift_of(gi, combo)))
+        residual.sort(key=lambda item: item[0])
+        self.algebra = FreeAlgebra(f, [x for x in algebra.letters if x not in self._rows])
+        self.residual = IdealGens(self.algebra, [FreePoly(self.algebra, terms)
+                                                 for _, terms, _ in residual])
+        self.weights = [gens.generators[gi].degree() for gi, _, _ in residual]
+        self._lifts = [lift for _, _, lift in residual]
+
+    def normal_form(self, terms: dict) -> tuple[dict, dict]:
+        """(nf, combo) with terms == nf + sum(combo * products) and no pivot
+        letter in nf, rewriting the leftmost pivot of each word first."""
+        f = self.gens.algebra.field
+        rows = self._rows
+        nf: dict = {}
+        combo: dict = {}
+        pending = list(terms.items())
+        while pending:
+            w, c = pending.pop()
+            k = next((k for k, x in enumerate(w) if x in rows), None)
+            if k is None:
+                _add_term(f, nf, w, c)
+                continue
+            left, right = w[:k], w[k + 1:]
+            row_terms, row_combo = rows[w[k]]
+            # c*w = c*left*row*right - c*left*(row - pivot)*right
+            for t, rc in row_terms.items():
+                if t != (w[k],):
+                    pending.append((left + t + right, f.neg(f.mul(c, rc))))
+            for (wl, gi, wr), rc in row_combo.items():
+                _add_term(f, combo, (left + wl, gi, wr + right), f.mul(c, rc))
+        return nf, combo
+
+    def lift(self, certificate: Certificate, combo: dict) -> Certificate:
+        """A certificate over the original generators for the target with
+        reduction combo, from a residual certificate of its normal form."""
+        f = self.gens.algebra.field
+        acc = dict(combo)
+        for t in certificate.terms:
+            for (wl, gi, wr), c in self._lifts[t.gen_index].items():
+                _add_term(f, acc, (t.left + wl, gi, wr + t.right), f.mul(t.coeff, c))
+        return _certificate(acc)
+
+
+def decide_memberships(gens: IdealGens, targets: list[FreePoly],
+                       degree_bound: int) -> list[MembershipResult]:
+    """Membership of each target in the span of the products w * g * w' of
+    total degree at most degree_bound, by linear pre-elimination and then a
+    weighted residual span.
+
+    Each target t is reduced to its normal form NF(t) by the linear rows
+    (LinearElimination), and the residual span (IdealSpan over the residual
+    generators with their weights) decides NF(t).  Reduction is an algebra
+    map that kills the linear generators and lengthens no word, so t lies in
+    the plain degree-d span of gens iff deg t <= d and NF(t) lies in the
+    weighted residual span at degree d.  Member flags and degrees are
+    therefore those of IdealSpan(gens).memberships: t is found at
+    max(deg t, d_r), d_r being the degree at which NF(t) resolved, if that
+    is within the bound.  Certificates are lifted to the original generators
+    (each residual product shifted by its words, plus the target's own
+    reduction terms) and re-evaluate to the target exactly; they may differ
+    from the plain span's.  NotFoundUpTo never claims non-membership.
+    """
+    if any(t.algebra != gens.algebra for t in targets):
+        raise AlphabetMismatch("target from a different free algebra")
+    elimination = LinearElimination(gens)
+    forms = [elimination.normal_form(t.terms) for t in targets]
+    span = IdealSpan(elimination.residual, elimination.weights)
+    found = span.memberships([FreePoly(elimination.algebra, nf) for nf, _ in forms],
+                             degree_bound)
+    results = []
+    for target, (_, combo), res in zip(targets, forms, found):
+        degree = max(target.degree(), res.searched_degree)
+        if res.member and degree <= degree_bound:
+            results.append(MembershipResult.found(elimination.lift(res.certificate, combo),
+                                                  degree))
+        else:
+            results.append(MembershipResult.not_found(degree_bound))
+    return results
+
+
 def ideal_membership(gens: IdealGens, target: FreePoly, degree_bound: int) -> MembershipResult:
-    """Decide whether target lies in the span of {w * g * w'} with total
-    degree at most degree_bound.  Member verdicts carry a certificate that
-    re-evaluates to the target exactly; NotFoundUpTo never claims
-    non-membership."""
-    return IdealSpan(gens).membership(target, degree_bound)
+    """decide_memberships() for one target whose degree must fit the bound."""
+    if target.degree() > degree_bound:
+        raise DegreeBoundTooSmall(
+            f"target has degree {target.degree()} > bound {degree_bound}"
+        )
+    return decide_memberships(gens, [target], degree_bound)[0]
 
 
 def default_degree_bound(gens: IdealGens, target: FreePoly) -> int:

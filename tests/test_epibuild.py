@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quiverepi import cli, epibuild
+from quiverepi import cli, epibuild, freealg
 from quiverepi.exactlin import GF, QQ, ExactMatrix
 from quiverepi.epibuild import (
     _trial_dims,
@@ -42,7 +42,7 @@ from quiverepi.epibuild import (
     substitute_letters,
     verify_epimorphism,
 )
-from quiverepi.freealg import FreeMat, IdealGens, IdealSpan
+from quiverepi.freealg import FreeMat, IdealGens, IdealSpan, LinearElimination
 from quiverepi.quiver import CycleError, Quiver, parse_quiver
 from quiverepi.quiverrep import (
     Representation,
@@ -431,7 +431,42 @@ class TestVerifyEpimorphism:
             ])
             assert cert.evaluate(gens) == combined.parse(element["poly"])
 
-    def test_corrupted_span_is_never_verified(self, a2_brick, monkeypatch, tmp_path):
+    @staticmethod
+    def _stages_used(h, monkeypatch) -> tuple[bool, bool]:
+        """Whether verify_epimorphism's certificates for h use linear rows,
+        and whether they use nonempty residual-span certificates."""
+        reductions, residual_certs = [], []
+
+        class SpyRows(LinearElimination):
+            def normal_form(self, terms):
+                nf, combo = super().normal_form(terms)
+                reductions.append(combo)
+                return nf, combo
+
+        class SpySpan(IdealSpan):
+            def try_reduce_to_zero(self, target):
+                cert = super().try_reduce_to_zero(target)
+                if cert is not None and cert.terms:
+                    residual_certs.append(cert)
+                return cert
+
+        with monkeypatch.context() as m:
+            m.setattr(freealg, "LinearElimination", SpyRows)
+            m.setattr(freealg, "IdealSpan", SpySpan)
+            assert verify_epimorphism(h).verdict == "Verified"
+        return any(reductions), bool(residual_certs)
+
+    def _assert_never_verified(self, h, tmp_path):
+        hom = tmp_path / "extend.hom.json"
+        hom.write_text(json.dumps(h.to_json_dict()), encoding="utf-8")
+        with pytest.raises(CertificateMismatch):
+            verify_epimorphism(h)
+        # an internal fault, not an input error: the CLI does not turn it into exit 2
+        assert not issubclass(CertificateMismatch, cli.INPUT_ERRORS)
+        with pytest.raises(CertificateMismatch):
+            cli.main(["verify", str(hom)])
+
+    def test_corrupted_span_is_never_verified(self, kron_extension_hom, monkeypatch, tmp_path):
         class CorruptSpan(IdealSpan):
             """Doubles every stored combination after each build."""
 
@@ -441,16 +476,25 @@ class TestVerifyEpimorphism:
                     for k in combo:
                         combo[k] = combo[k] * 2
 
-        h = build_brick_hom(a2_brick)
-        hom = tmp_path / "p12.hom.json"
-        hom.write_text(json.dumps(h.to_json_dict()), encoding="utf-8")
-        monkeypatch.setattr(epibuild, "IdealSpan", CorruptSpan)
-        with pytest.raises(CertificateMismatch):
-            verify_epimorphism(h, 1)
-        # an internal fault, not an input error: the CLI does not turn it into exit 2
-        assert not issubclass(CertificateMismatch, cli.INPUT_ERRORS)
-        with pytest.raises(CertificateMismatch):
-            cli.main(["verify", str(hom)])
+        # the corruption can only show if the certificates use the span's rows
+        assert self._stages_used(kron_extension_hom, monkeypatch)[1]
+        monkeypatch.setattr(freealg, "IdealSpan", CorruptSpan)
+        self._assert_never_verified(kron_extension_hom, tmp_path)
+
+    def test_corrupted_linear_rows_are_never_verified(self, kron_extension_hom, monkeypatch,
+                                                      tmp_path):
+        class CorruptRows(LinearElimination):
+            """Doubles every linear row's combination once the rows are built."""
+
+            def __init__(self, gens):
+                super().__init__(gens)
+                for _, combo in self._rows.values():
+                    for k in combo:
+                        combo[k] = combo[k] * 2
+
+        assert self._stages_used(kron_extension_hom, monkeypatch)[0]
+        monkeypatch.setattr(freealg, "LinearElimination", CorruptRows)
+        self._assert_never_verified(kron_extension_hom, tmp_path)
 
     def test_tiny_bound_undetermined(self, kron_extension_hom):
         rep = verify_epimorphism(kron_extension_hom, 1)

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quiverepi.exactlin import GF, QQ
@@ -13,8 +13,10 @@ from quiverepi.freealg import (
     FreeMat,
     IdealGens,
     IdealSpan,
+    LinearElimination,
     PolyParseError,
     ShapeMismatch,
+    decide_memberships,
     ideal_membership,
 )
 
@@ -361,3 +363,112 @@ class TestSpanShortcuts:
             if got is not None:
                 assert got.terms == want.terms
                 assert got.evaluate(gens) == target
+
+
+LETTERS = st.sampled_from("xyz")
+
+
+@st.composite
+def mixed_generators(draw, algebra):
+    """1-5 generators mixing linear forms, dependent linear forms, linear forms
+    with a constant term, constants (the unit ideal), +-1 binomials and
+    degree-3 polynomials with non-unit coefficients."""
+    coeffs = [2, Fraction(1, 3)] if algebra.field == QQ else [2, 5]
+
+    def letter():
+        return algebra.letter(draw(LETTERS))
+
+    def scalar():
+        return draw(st.sampled_from([1, -1, *coeffs]))
+
+    linear, gens = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(
+            ["linear", "dependent", "affine", "constant", "unit binomial", "cubic"]))
+        if kind == "dependent" and linear:
+            g = draw(st.sampled_from(linear)).scale(scalar()) + draw(st.sampled_from(linear))
+        elif kind in ("linear", "dependent"):
+            g = letter() + letter().scale(scalar())
+            linear.append(g)
+        elif kind == "affine":
+            g = letter() + scalar()
+        elif kind == "constant":
+            g = algebra.scalar(scalar())
+        elif kind == "unit binomial":
+            w1, w2 = draw(SPAN_WORDS), draw(SPAN_WORDS)
+            g = algebra.monomial(w1) + algebra.monomial(w2, draw(st.sampled_from([1, -1])))
+        else:
+            cube = draw(st.lists(LETTERS, min_size=3, max_size=3).map(tuple))
+            g = (algebra.monomial(cube, draw(st.sampled_from(coeffs)))
+                 + algebra.monomial(draw(SPAN_WORDS), draw(st.sampled_from(coeffs))))
+        if not g.is_zero():
+            gens.append(g)
+    assume(gens)
+    return gens
+
+
+class TestLinearPreElimination:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_plain_span(self, data):
+        field = data.draw(st.sampled_from([QQ, GF(101)]))
+        alg = FreeAlgebra(field, ["x", "y", "z"])
+        gens = IdealGens(alg, data.draw(mixed_generators(alg)))
+        bound = data.draw(st.integers(0, 4))
+        # sandwiched generators (members), with or without a stray word
+        targets = []
+        for _ in range(4):
+            g = data.draw(st.sampled_from(gens.generators))
+            wl, wr = data.draw(SPAN_WORDS), data.draw(SPAN_WORDS)
+            target = alg.monomial(wl) * g * alg.monomial(wr)
+            if data.draw(st.booleans()):
+                target = target + alg.monomial(data.draw(SPAN_WORDS))
+            targets.append(target)
+        got = decide_memberships(gens, targets, bound)
+        want = IdealSpan(gens).memberships(targets, bound)
+        for target, res, ref in zip(targets, got, want):
+            assert (res.member, res.searched_degree) == (ref.member, ref.searched_degree)
+            if res.member:
+                assert res.certificate.evaluate(gens) == target
+                assert res.certificate.max_degree(gens) <= res.searched_degree
+
+    def test_target_from_another_algebra(self, xy, vxy):
+        gens = IdealGens(vxy, [vxy.letter("x") - vxy.letter("v1_2")])
+        with pytest.raises(AlphabetMismatch):
+            ideal_membership(gens, xy.letter("x"), 1)
+
+    def test_zero_normal_form_still_needs_its_degree(self, xy):
+        x, y = xy.letter("x"), xy.letter("y")
+        gens = IdealGens(xy, [x - y])
+        # x - y reduces to zero, but as a product it has degree 1
+        res = decide_memberships(gens, [x - y], 0)[0]
+        assert not res.member and res.searched_degree == 0
+        res = decide_memberships(gens, [x - y], 1)[0]
+        assert res.member and res.searched_degree == 1
+        assert res.certificate.evaluate(gens) == x - y
+
+    def test_rows_and_residual(self):
+        alg = FreeAlgebra(QQ, ["x", "y", "z"])
+        x, y, z = (alg.letter(n) for n in "xyz")
+        # y - x is a row (pivot y); 2y - 2x reduces to zero and is dropped;
+        # y - x - 1 reduces to the constant -1; y*z - x*z reduces to zero
+        gens = IdealGens(alg, [y - x, (y - x).scale(2), y - x - 1, y * z - x * z, z * y * y])
+        elim = LinearElimination(gens)
+        assert elim.algebra.letters == ("x", "z")
+        assert [g.to_text() for g in elim.residual.generators] == ["-1", "z.x.x"]
+        assert elim.weights == [1, 3]
+        nf, combo = elim.normal_form((x * y).terms)
+        assert nf == (x * x).terms
+        assert combo == {(("x",), 0, ()): 1}
+
+    def test_new_pivot_is_rewritten_in_earlier_rows(self):
+        alg = FreeAlgebra(QQ, ["x", "y", "z"])
+        x, y, z = (alg.letter(n) for n in "xyz")
+        gens = IdealGens(alg, [z - y, y - x])
+        elim = LinearElimination(gens)
+        # z - y, then y - x: the row of z becomes z - x = g0 + g1
+        assert elim._rows["z"] == ({("z",): 1, ("x",): -1},
+                                   {((), 0, ()): 1, ((), 1, ()): 1})
+        nf, combo = elim.normal_form((z * y).terms)
+        assert nf == (x * x).terms
+        assert combo == {((), 0, ("y",)): 1, ((), 1, ("y",)): 1, (("x",), 1, ()): 1}

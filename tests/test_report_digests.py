@@ -12,6 +12,11 @@ The two non-epimorphisms (P12+S2 over A2 and the canonical A2 hom) are
 Refuted only after the span has run to the full default bound (4 and 6)
 with some elements still not found, so they pin the span's exhaustion path:
 certificates found along the way and the `not_found_up_to` entries.
+
+The glued 6x6 hom (the Kronecker module of dimension (2,3) glued at vertex
+2) is the largest verify report: Verified at the default bound, and
+Undetermined (exit 3) at `--degree 2`, where its two commutator elements
+are still unresolved.
 """
 
 import hashlib
@@ -39,20 +44,27 @@ REPS = {
     "kr_pre12.rep": "quiver kronecker.quiver\ndims 1=1 2=2\nmap a 1 ; 0\nmap b 0 ; 1\n",
     "kr_reg.rep": "quiver kronecker.quiver\ndims 1=1 2=1\nmap a 1\n",
     "p12_s2.rep": "quiver a2.quiver\ndims 1=1 2=2\nmap a 1 ; 0\n",
+    "k23.rep": "quiver kronecker.quiver\ndims 1=2 2=3\nmap a 1 0 ; 0 1 ; 0 0\nmap b 0 0 ; 1 0 ; 0 1\n",
 }
 
 # case name -> `build` arguments before --out
 BUILDS = {
-    **{rep[:-4]: ["brick", rep] for rep in REPS if rep not in ("kr_reg.rep", "p12_s2.rep")},
+    **{rep[:-4]: ["brick", rep] for rep in REPS
+       if rep not in ("kr_reg.rep", "p12_s2.rep", "k23.rep")},
     "extend": ["extend", "a2_p12.rep", "kronecker.quiver"],
     **{f"invariant_{case}": ["invariant", "kr_reg.rep", "b", case]
        for case in ("i", "ii", "iii", "iv")},
     "p12_s2": ["brick", "p12_s2.rep", "--allow-non-brick"],
     "canonical_a2": ["canonical", "a2.quiver", "--dims", "1=1,2=1"],
+    "glue6": ["glue", "k23.rep", "2"],
+    "glue6_degree2": ["glue", "k23.rep", "2"],
 }
 
-# cases whose verify exits 1 (Refuted); the rest exit 0 (Verified)
-REFUTED = {"p12_s2", "canonical_a2"}
+# case name -> extra `verify` arguments (none for the rest)
+VERIFY_ARGS = {"glue6_degree2": ["--degree", "2"]}
+
+# case name -> exit code of its verify: 1 Refuted, 3 Undetermined, 0 for the rest (Verified)
+VERIFY_CODES = {"p12_s2": 1, "canonical_a2": 1, "glue6_degree2": 3}
 
 # case name -> SHA-256 of (build report, hom file, verify report)
 DIGESTS = {
@@ -136,6 +148,16 @@ DIGESTS = {
         "1dcdc86a30659254f2a764d486fd282220b85a3a82640e289f16af472b4a3593",
         "13eee48aabe497cada2d8b07cd4f00e6c2f2697cb213834dc1674b3282686da0",
     ),
+    "glue6": (
+        "19715f2e24115efc4dcf5fb97cb0a5213855ef99224e811ddf0db94463bc37cc",
+        "6d0551d418ba1d08ef24909c34094b86694d549797b21401e9abea060fe8438f",
+        "d00de5ebef24c485ccdbfc06bf29fb4dd559a3daf06bb79911d7e26756ec9002",
+    ),
+    "glue6_degree2": (
+        "a86f6144ce3ae20c64554fd6ea7b6ee0ae6ba297c2a6d3d4555202c9e45a00d1",
+        "6d0551d418ba1d08ef24909c34094b86694d549797b21401e9abea060fe8438f",
+        "e13875f884abfb6eeb2f18ea2c0edf9d6e58d0c3bde0c7ed6424e3b9ce2726ec",
+    ),
     "p12_s2": (
         "4ee9ebb962810ec942f1252a15b7c92c2d9629ff0c54d64bf86eff493ee1d5b0",
         "accb3e8e72765cb75a159a185e78ed314095c1693fcbf7782de4530041b5a1e0",
@@ -155,7 +177,7 @@ def case_outputs(name: str, capsys) -> tuple[bytes, bytes, bytes]:
     build_report = capsys.readouterr().out
     with open(hom, "rb") as fh:
         hom_bytes = fh.read()
-    assert main(["verify", hom]) == (1 if name in REFUTED else 0)
+    assert main(["verify", hom, *VERIFY_ARGS.get(name, [])]) == VERIFY_CODES.get(name, 0)
     verify_report = capsys.readouterr().out
     return build_report.encode(), hom_bytes, verify_report.encode()
 
