@@ -280,8 +280,11 @@ class AlgebraHom:
     def from_json_dict(cls, data: dict, field=None) -> "AlgebraHom":
         from .exactlin import parse_field
 
+        if not isinstance(data, dict):
+            raise InvalidHom("a hom file must hold a JSON object")
         if data.get("schema") != 1:
             raise InvalidHom(f"unsupported hom schema {data.get('schema')!r}")
+        _check_hom_document(data)
         f = field if field is not None else parse_field(data["field"])
         qd = data["source_quiver"]
         quiver = Quiver(qd["vertices"], [tuple(a) for a in qd["arrows"]])
@@ -298,6 +301,49 @@ class AlgebraHom:
             coords = {x: (v[0], v[1], v[2]) for x, v in coords.items()}
         return cls(quiver, algebra, n, idem, arrows, letter_coords=coords,
                    provenance=data.get("provenance", "file"))
+
+
+def _check_hom_document(data: dict) -> None:
+    """Raise InvalidHom unless a schema-1 hom document has the keys, shapes
+    and types that AlgebraHom.from_json_dict reads; the values themselves
+    (field spec, quiver, polynomials, path-algebra relations) are checked
+    by the constructors it calls."""
+
+    def need(ok: bool, what: str) -> None:
+        if not ok:
+            raise InvalidHom(f"malformed hom file: {what}")
+
+    def strings(x) -> bool:
+        return isinstance(x, list) and all(isinstance(t, str) for t in x)
+
+    for key in ("field", "source_quiver", "size", "alphabet", "idem_images", "arrow_images"):
+        need(key in data, f"missing key {key!r}")
+    need(isinstance(data["field"], str), "'field' must be a string")
+    qd = data["source_quiver"]
+    need(isinstance(qd, dict) and strings(qd.get("vertices")),
+         "'source_quiver' must hold a list of vertex names")
+    need(isinstance(qd.get("arrows"), list)
+         and all(strings(a) and len(a) == 3 for a in qd["arrows"]),
+         "every arrow must be [name, source, target]")
+    n = data["size"]
+    need(type(n) is int and n >= 0, "'size' must be a non-negative integer")
+    need(strings(data["alphabet"]), "'alphabet' must be a list of letter names")
+    for key, names in (("idem_images", qd["vertices"]),
+                       ("arrow_images", [a[0] for a in qd["arrows"]])):
+        images = data[key]
+        need(isinstance(images, dict), f"{key!r} must be an object")
+        for name in names:
+            need(name in images, f"{key!r} has no image for {name!r}")
+            rows = images[name]
+            need(isinstance(rows, list) and len(rows) == n
+                 and all(strings(row) and len(row) == n for row in rows),
+                 f"{key}[{name!r}] must be {n} rows of {n} polynomial strings")
+    coords = data.get("letter_coords")
+    need(coords is None or (isinstance(coords, dict) and all(
+        isinstance(c, list) and len(c) == 3 and type(c[0]) is int and type(c[1]) is int
+        and isinstance(c[2], str) for c in coords.values())),
+        "'letter_coords' must map letters to [row, col, arrow]")
+    need(isinstance(data.get("provenance", ""), str), "'provenance' must be a string")
 
 
 def _standard_idem_images(algebra: FreeAlgebra, layout: BlockLayout) -> dict[str, FreeMat]:
@@ -854,11 +900,13 @@ def _substitute_freemat(mat: FreeMat, assignment: dict[str, ExactMatrix],
     grid = [[field.zero()] * n_cols for _ in range(n_rows)]
     for i in range(mat.rows):
         for j in range(mat.cols):
-            cell = mat.entry(i, j).substitute_matrices(assignment, ell, field)
+            poly = mat.entry(i, j)
+            if poly.is_zero():
+                continue
+            cell = poly.substitute_matrices(assignment, ell, field)
             for p in range(ell):
-                for r in range(ell):
-                    grid[i * ell + p][j * ell + r] = cell.entry(p, r)
-    return ExactMatrix(field, grid, cols=n_cols)
+                grid[i * ell + p][j * ell:(j + 1) * ell] = cell.entries[p]
+    return ExactMatrix._of(field, grid, n_cols)
 
 
 def specialize(h: AlgebraHom, assignment: dict[str, ExactMatrix],

@@ -2,15 +2,25 @@
 
 Scalars are plain Python values (fractions.Fraction for QQ, canonical
 residues 0..p-1 for GF(p)); a Field object supplies the arithmetic so the
-same matrix code runs over either field.  Everything is exact: no floats,
-no pivoting heuristics.  The elimination pivot rule is fixed (first nonzero
-entry scanning rows top to bottom, columns left to right) so every result
-is deterministic.
+same matrix code runs over either field.  Besides scalar operations, each
+Field supplies three row kernels, dot(xs, ys), row_sub(xs, c, ys) = xs - c*ys
+and row_scale(c, xs), each doing one field operation per result entry (over
+GF(p) one `% p`), and the dense matrix code is written against those.
+Everything is exact: no floats, no pivoting heuristics.  The elimination
+pivot rule is fixed (first nonzero entry scanning rows top to bottom,
+columns left to right) so every result is deterministic.
+
+The public ExactMatrix constructor coerces every entry and rejects ragged
+rows.  Operations whose entries already lie in the field build their result
+with the internal ExactMatrix._of, which does neither; its contract is that
+every entry is canonical (a Fraction over QQ, an int in [0, p) over GF(p)),
+so a zero entry is falsy and equal entries compare equal.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -70,6 +80,16 @@ class RationalField:
 
     def is_zero(self, a):
         return a == 0
+
+    def dot(self, xs, ys):
+        return sum([x * y for x, y in zip(xs, ys) if x and y], Fraction(0))
+
+    def row_sub(self, xs, c, ys):
+        """xs - c*ys, skipping the zero entries of ys."""
+        return [x - c * y if y else x for x, y in zip(xs, ys)]
+
+    def row_scale(self, c, xs):
+        return [c * x for x in xs]
 
     def to_str(self, a):
         return str(a)
@@ -137,6 +157,18 @@ class PrimeField:
     def is_zero(self, a):
         return a % self.p == 0
 
+    def dot(self, xs, ys):
+        return sum(map(mul, xs, ys)) % self.p
+
+    def row_sub(self, xs, c, ys):
+        """xs - c*ys."""
+        p = self.p
+        return [(x - c * y) % p for x, y in zip(xs, ys)]
+
+    def row_scale(self, c, xs):
+        p = self.p
+        return [c * x % p for x in xs]
+
     def to_str(self, a):
         return str(a % self.p)
 
@@ -194,14 +226,24 @@ class ExactMatrix:
         self.entries = tuple(rows)
 
     @classmethod
+    def _of(cls, field, rows: Iterable[Sequence], cols: int) -> "ExactMatrix":
+        """A matrix from rows whose entries are already canonical elements
+        of the field, each row of length cols: no coercion, no shape check."""
+        m = object.__new__(cls)
+        m.field = field
+        m.entries = tuple(map(tuple, rows))
+        m.rows = len(m.entries)
+        m.cols = cols
+        return m
+
+    @classmethod
     def zeros(cls, field, rows: int, cols: int) -> "ExactMatrix":
-        z = field.zero()
-        return cls(field, [[z] * cols for _ in range(rows)], cols=cols)
+        row = (field.zero(),) * cols
+        return cls._of(field, [row] * rows, cols)
 
     @classmethod
     def identity(cls, field, n: int) -> "ExactMatrix":
-        z, o = field.zero(), field.one()
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)], cols=n)
+        return _block_identity(field, n, 0, n)
 
     @classmethod
     def from_columns(cls, field, columns: Sequence[Sequence], rows: int) -> "ExactMatrix":
@@ -218,8 +260,7 @@ class ExactMatrix:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        f = self.field
-        return all(f.is_zero(x) for row in self.entries for x in row)
+        return not any(map(any, self.entries))
 
     def __eq__(self, other):
         return (
@@ -234,32 +275,21 @@ class ExactMatrix:
         return hash((self.field, self.rows, self.cols, self.entries))
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_same_shape(other)
-        f = self.field
-        return ExactMatrix(
-            f,
-            [
-                [f.add(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-            cols=self.cols,
-        )
+        return self._sub_multiple(self.field.neg(self.field.one()), other)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
+        return self._sub_multiple(self.field.one(), other)
+
+    def _sub_multiple(self, c, other: "ExactMatrix") -> "ExactMatrix":
+        """self - c*other, for a field element c."""
         self._check_same_shape(other)
         f = self.field
-        return ExactMatrix(
-            f,
-            [
-                [f.sub(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-            cols=self.cols,
+        return ExactMatrix._of(
+            f, [f.row_sub(ra, c, rb) for ra, rb in zip(self.entries, other.entries)], self.cols
         )
 
     def __neg__(self) -> "ExactMatrix":
-        f = self.field
-        return ExactMatrix(f, [[f.neg(x) for x in row] for row in self.entries], cols=self.cols)
+        return self.scale(-1)
 
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if not isinstance(other, ExactMatrix):
@@ -269,50 +299,43 @@ class ExactMatrix:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
         f = self.field
-        z = f.zero()
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = z
-                for k in range(self.cols):
-                    acc = f.add(acc, f.mul(self.entries[i][k], other.entries[k][j]))
-                row.append(acc)
-            out.append(row)
-        return ExactMatrix(f, out, cols=other.cols)
+        if not self.cols:
+            return ExactMatrix.zeros(f, self.rows, other.cols)
+        dot = f.dot
+        columns = list(zip(*other.entries))
+        return ExactMatrix._of(
+            f, [[dot(row, col) for col in columns] for row in self.entries], other.cols
+        )
 
     def scale(self, c) -> "ExactMatrix":
         f = self.field
         c = f.coerce(c)
-        return ExactMatrix(f, [[f.mul(c, x) for x in row] for row in self.entries], cols=self.cols)
+        return ExactMatrix._of(f, [f.row_scale(c, row) for row in self.entries], self.cols)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.field,
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
+        if not self.rows:
+            return ExactMatrix.zeros(self.field, self.cols, 0)
+        return ExactMatrix._of(self.field, zip(*self.entries), self.rows)
 
     def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.rows != other.rows:
             raise ValueError("hstack row mismatch")
         if self.field != other.field:
             raise ValueError("hstack across different fields")
-        return ExactMatrix(
-            self.field,
-            [list(a) + list(b) for a, b in zip(self.entries, other.entries)],
-            cols=self.cols + other.cols,
+        return ExactMatrix._of(
+            self.field, [a + b for a, b in zip(self.entries, other.entries)],
+            self.cols + other.cols,
         )
 
     def submatrix(self, row_idx: Iterable[int], col_idx: Iterable[int]) -> "ExactMatrix":
-        ri, ci = list(row_idx), list(col_idx)
-        return ExactMatrix(
-            self.field, [[self.entries[i][j] for j in ci] for i in ri], cols=len(ci)
+        ci = list(col_idx)
+        return ExactMatrix._of(
+            self.field, [[self.entries[i][j] for j in ci] for i in row_idx], len(ci)
         )
 
     def convert(self, field) -> "ExactMatrix":
         """Coerce entries into another exact field (e.g. QQ -> GF(p))."""
-        return ExactMatrix(field, [[field.coerce(x) for x in row] for row in self.entries], cols=self.cols)
+        return ExactMatrix._of(field, [map(field.coerce, row) for row in self.entries], self.cols)
 
     def _check_same_shape(self, other: "ExactMatrix"):
         if self.field != other.field:
@@ -327,32 +350,40 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols}: {body})"
 
 
+def _block_identity(field, n: int, start: int, stop: int) -> ExactMatrix:
+    """The n x n 0/1 diagonal matrix with ones at positions start..stop-1."""
+    z, o = field.zero(), field.one()
+    return ExactMatrix._of(
+        field, [[o if i == j and start <= i < stop else z for j in range(n)] for i in range(n)], n
+    )
+
+
 def rref(m: ExactMatrix) -> tuple[ExactMatrix, list[int]]:
     """Reduced row echelon form and pivot column list (fixed pivot rule)."""
     f = m.field
+    row_scale, row_sub = f.row_scale, f.row_sub
     a = [list(row) for row in m.entries]
     pivots: list[int] = []
     r = 0
     for c in range(m.cols):
         pivot_row = -1
         for i in range(r, m.rows):
-            if not f.is_zero(a[i][c]):
+            if a[i][c]:
                 pivot_row = i
                 break
         if pivot_row < 0:
             continue
         a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = f.inv(a[r][c])
-        a[r] = [f.mul(inv, x) for x in a[r]]
+        # the pivot row is zero left of column c, so only its tail does work
+        tail = a[r][c:] = row_scale(f.inv(a[r][c]), a[r][c:])
         for i in range(m.rows):
-            if i != r and not f.is_zero(a[i][c]):
-                factor = a[i][c]
-                a[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(a[i], a[r])]
+            if i != r and a[i][c]:
+                a[i][c:] = row_sub(a[i][c:], a[i][c], tail)
         pivots.append(c)
         r += 1
         if r == m.rows:
             break
-    return ExactMatrix(f, a, cols=m.cols), pivots
+    return ExactMatrix._of(f, a, m.cols), pivots
 
 
 def rank(m: ExactMatrix) -> int:
@@ -377,17 +408,16 @@ def nullspace_basis(m: ExactMatrix) -> list[ExactMatrix]:
         v[fc] = f.one()
         for r, pc in enumerate(pivots):
             v[pc] = f.neg(reduced.entries[r][fc])
-        lead = next(x for x in v if not f.is_zero(x))
-        inv = f.inv(lead)
-        v = [f.mul(inv, x) for x in v]
-        basis.append(ExactMatrix(f, [[x] for x in v], cols=1))
+        lead = next(x for x in v if x)
+        v = f.row_scale(f.inv(lead), v)
+        basis.append(ExactMatrix._of(f, [(x,) for x in v], 1))
     return basis
 
 
 def column_space_basis(m: ExactMatrix) -> list[ExactMatrix]:
     """Basis of the column space: the original columns at the pivot indices."""
     _, pivots = rref(m)
-    return [ExactMatrix(m.field, [[x] for x in m.column(j)], cols=1) for j in pivots]
+    return [ExactMatrix._of(m.field, [(x,) for x in m.column(j)], 1) for j in pivots]
 
 
 def solve_or_invert(m: ExactMatrix) -> ExactMatrix:
@@ -416,6 +446,11 @@ def idempotent_diagonalize(idems: Sequence[ExactMatrix]) -> tuple[ExactMatrix, l
     bases, so the output is deterministic); rank-0 summands contribute
     zero-width column groups.
 
+    A family that already is that layout (consecutive 0/1 diagonal blocks
+    covering 0..n-1, rank-0 blocks included) satisfies every precondition,
+    and its pivot columns are the unit vectors, so it returns (I, ranks)
+    at once.
+
     Raises NotIdempotentFamily naming the first violated precondition.
     """
     if not idems:
@@ -429,6 +464,22 @@ def idempotent_diagonalize(idems: Sequence[ExactMatrix]) -> tuple[ExactMatrix, l
             )
         if e.field != field:
             raise NotIdempotentFamily(f"matrix {k} lives over a different field")
+
+    one = field.one()
+    offset, block_ranks = 0, []
+    for e in idems:
+        stop = offset
+        while stop < n and e.entries[stop][stop] == one:
+            stop += 1
+        if e != _block_identity(field, n, offset, stop):
+            break
+        block_ranks.append(stop - offset)
+        offset = stop
+    else:
+        if offset == n:
+            return ExactMatrix.identity(field, n), block_ranks
+
+    for k, e in enumerate(idems):
         if e * e != e:
             raise NotIdempotentFamily(f"matrix {k} is not idempotent")
     for i in range(len(idems)):

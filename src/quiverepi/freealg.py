@@ -460,7 +460,9 @@ class FreeMat:
             for j in range(other.cols):
                 acc = self.algebra.zero()
                 for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
+                    a, b = self.entries[i][k], other.entries[k][j]
+                    if a.terms and b.terms:
+                        acc = acc + a * b
                 row.append(acc)
             out.append(row)
         return FreeMat(self.algebra, out, cols=other.cols)

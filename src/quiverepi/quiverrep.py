@@ -196,7 +196,7 @@ def hom_basis(M: Representation, N: Representation) -> IntertwinerBasis:
                         k = unknown(a.source, qq, r)
                         row[k] = f.sub(row[k], c)
                 rows.append(row)
-    system = ExactMatrix(f, rows, cols=total)
+    system = ExactMatrix._of(f, rows, total)
     pairs = []
     for vec in nullspace_basis(system):
         flat = vec.column(0)
@@ -206,7 +206,7 @@ def hom_basis(M: Representation, N: Representation) -> IntertwinerBasis:
                 [flat[unknown(v, p, r)] for r in range(M.dims[v])]
                 for p in range(N.dims[v])
             ]
-            tup[v] = ExactMatrix(f, entries, cols=M.dims[v])
+            tup[v] = ExactMatrix._of(f, entries, M.dims[v])
         pairs.append(tup)
     return IntertwinerBasis(pairs)
 

@@ -241,3 +241,57 @@ class TestVerify:
         assert code == 2
         assert captured.err.startswith("error:")
         assert captured.out == ""
+
+
+def _drop_idem(data):
+    del data["idem_images"]["2"]
+
+
+def _ragged_row(data):
+    data["arrow_images"]["a"][1].append("0")
+
+
+def _string_size(data):
+    data["size"] = str(data["size"])
+
+
+def _integer_entry(data):
+    data["arrow_images"]["a"][1][0] = 1
+
+
+def _short_arrow(data):
+    data["source_quiver"]["arrows"][0] = ["a", "1"]
+
+
+class TestMalformedHom:
+    """A malformed hom file is an input error: exit 2 with an `error:` line,
+    never exit 1 (the Refuted code) and never an exception out of main."""
+
+    @pytest.mark.parametrize("doc", [{"schema": 1}, [1, 2]], ids=["schema-only", "json-list"])
+    def test_whole_document(self, workdir, capsys, doc):
+        hom = workdir / "bad.hom.json"
+        hom.write_text(json.dumps(doc))
+        self.assert_input_error(capsys, hom)
+
+    @pytest.mark.parametrize("mutate", [_drop_idem, _string_size, _integer_entry,
+                                        _short_arrow, _ragged_row],
+                             ids=["missing-idem", "string-size", "integer-entry",
+                                  "two-element-arrow", "ragged-row"])
+    def test_mutated_brick_hom(self, workdir, capsys, mutate):
+        hom = workdir / "brick.hom.json"
+        assert main(["build", "brick", str(workdir / "brick.rep"), "--out", str(hom)]) == 0
+        data = json.loads(hom.read_text())
+        mutate(data)
+        hom.write_text(json.dumps(data))
+        self.assert_input_error(capsys, hom)
+
+    @staticmethod
+    def assert_input_error(capsys, hom):
+        capsys.readouterr()
+        code = main(["verify", str(hom)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert captured.out == ""

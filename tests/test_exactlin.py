@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quiverepi import exactlin
 from quiverepi.exactlin import (
     GF,
     QQ,
@@ -16,6 +19,7 @@ from quiverepi.exactlin import (
     nullspace_basis,
     parse_field,
     rank,
+    rref,
     solve_or_invert,
 )
 
@@ -232,9 +236,211 @@ class TestIdempotentDiagonalize:
         assert idempotent_diagonalize(idems) == idempotent_diagonalize(idems)
 
 
+def diagonal(field, *bits):
+    n = len(bits)
+    return ExactMatrix(field, [[bits[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+class TestStandardLayoutEarlyReturn:
+    """A family that already is consecutive 0/1 diagonal blocks covering
+    0..n-1 returns (I, ranks) without the general path; every other family
+    takes the general path with all of its checks."""
+
+    @pytest.fixture
+    def general_path_calls(self, monkeypatch):
+        calls = []
+        original = exactlin.column_space_basis
+
+        def counting(m):
+            calls.append(m)
+            return original(m)
+
+        monkeypatch.setattr(exactlin, "column_space_basis", counting)
+        return calls
+
+    @pytest.mark.parametrize("field", [QQ, GF(101)])
+    @pytest.mark.parametrize("sizes", [[3], [1, 2], [0, 3], [2, 0, 1], [1, 1, 0], [0, 0, 3, 0]])
+    def test_standard_families(self, field, sizes, general_path_calls):
+        n = sum(sizes)
+        idems, offset = [], 0
+        for k in sizes:
+            idems.append(block_diagonal(field, n, offset, k))
+            offset += k
+        u, ranks = idempotent_diagonalize(idems)
+        assert general_path_calls == []
+        assert (u, ranks) == (ExactMatrix.identity(field, n), sizes)
+        # what the general path computes: the pivot columns of each block
+        columns = [v.column(0) for e in idems for v in column_space_basis(e)]
+        assert ExactMatrix.from_columns(field, columns, n) == u
+
+    def test_out_of_order_family_takes_general_path(self, general_path_calls):
+        e1, e2 = diagonal(QQ, 0, 1), diagonal(QQ, 1, 0)
+        u, ranks = idempotent_diagonalize([e1, e2])
+        assert len(general_path_calls) == 2
+        assert u == m([[0, 1], [1, 0]])
+        assert ranks == [1, 1]
+        u_inv = solve_or_invert(u)
+        assert u_inv * e1 * u == diagonal(QQ, 1, 0)
+        assert u_inv * e2 * u == diagonal(QQ, 0, 1)
+
+    @pytest.mark.parametrize("family, message", [
+        ([diagonal(QQ, 1, 0), diagonal(QQ, 1, 1)], "not orthogonal"),
+        ([diagonal(QQ, 1, 1, 0), diagonal(QQ, 0, 1, 1)], "not orthogonal"),
+        ([diagonal(QQ, 1, 0, 0), diagonal(QQ, 0, 1, 0)], "sum"),
+        ([diagonal(QQ, 1, 0), diagonal(QQ, 0, 0)], "sum"),
+        ([diagonal(QQ, 1, 1), diagonal(QQ, 0, 1)], "not orthogonal"),
+    ])
+    def test_non_families_still_raise(self, family, message):
+        with pytest.raises(NotIdempotentFamily, match=message):
+            idempotent_diagonalize(family)
+
+
 class TestColumnSpace:
     def test_pivot_columns(self):
         a = m([[1, 2, 3], [2, 4, 6]])
         basis = column_space_basis(a)
         assert len(basis) == 1
         assert basis[0].column(0) == [Fraction(1), Fraction(2)]
+
+
+# Reference kernels: the per-entry loops that ExactMatrix and rref used
+# before the Field row kernels, kept here to pin the fast kernels to them.
+def ref_mul(f, a, b, inner, cols):
+    out = []
+    for i in range(len(a)):
+        row = []
+        for j in range(cols):
+            acc = f.zero()
+            for k in range(inner):
+                acc = f.add(acc, f.mul(a[i][k], b[k][j]))
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def ref_scale(f, a, c):
+    c = f.coerce(c)
+    return tuple(tuple(f.mul(c, x) for x in row) for row in a)
+
+
+def ref_rref(f, a, cols):
+    a = [list(row) for row in a]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = -1
+        for i in range(r, len(a)):
+            if not f.is_zero(a[i][c]):
+                pivot_row = i
+                break
+        if pivot_row < 0:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        inv = f.inv(a[r][c])
+        a[r] = [f.mul(inv, x) for x in a[r]]
+        for i in range(len(a)):
+            if i != r and not f.is_zero(a[i][c]):
+                factor = a[i][c]
+                a[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(a):
+            break
+    return tuple(tuple(row) for row in a), pivots
+
+
+def ref_nullspace(f, a, cols):
+    reduced, pivots = ref_rref(f, a, cols)
+    basis = []
+    for fc in [j for j in range(cols) if j not in pivots]:
+        v = [f.zero()] * cols
+        v[fc] = f.one()
+        for r, pc in enumerate(pivots):
+            v[pc] = f.neg(reduced[r][fc])
+        inv = f.inv(next(x for x in v if not f.is_zero(x)))
+        basis.append(tuple((f.mul(inv, x),) for x in v))
+    return basis
+
+
+def ref_inverse(f, a, n):
+    aug = [tuple(row) + tuple(f.one() if i == j else f.zero() for j in range(n))
+           for i, row in enumerate(a)]
+    reduced, pivots = ref_rref(f, aug, 2 * n)
+    if pivots != list(range(n)):
+        return None
+    return tuple(row[n:] for row in reduced)
+
+
+def assert_canonical(mat):
+    """The internal constructor's contract: canonical entries, exact shape."""
+    assert len(mat.entries) == mat.rows
+    for row in mat.entries:
+        assert type(row) is tuple and len(row) == mat.cols
+        for x in row:
+            if mat.field == QQ:
+                assert type(x) is Fraction
+            else:
+                assert type(x) is int and 0 <= x < mat.field.p
+
+
+FIELDS = st.sampled_from([QQ, GF(101)])
+SCALARS = st.sampled_from([-2, -1, 0, 0, 0, 1, 2, Fraction(1, 3)])
+
+
+@st.composite
+def matrices(draw, field, rows=None, cols=None):
+    rows = draw(st.integers(0, 5)) if rows is None else rows
+    cols = draw(st.integers(0, 5)) if cols is None else cols
+    grid = [[draw(SCALARS) for _ in range(cols)] for _ in range(rows)]
+    return ExactMatrix(field, grid, cols=cols)
+
+
+class TestKernelEquivalence:
+    """The row kernels give exactly the per-entry reference results, over QQ
+    and GF(101), including 0xN, Nx0 and inner-dimension-0 shapes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_mul_and_scale(self, data):
+        f = data.draw(FIELDS)
+        rows, inner, cols = (data.draw(st.integers(0, 5)) for _ in range(3))
+        a = data.draw(matrices(f, rows, inner))
+        b = data.draw(matrices(f, inner, cols))
+        prod = a * b
+        assert_canonical(prod)
+        assert (prod.rows, prod.cols) == (rows, cols)
+        assert prod.entries == ref_mul(f, a.entries, b.entries, inner, cols)
+        c = data.draw(SCALARS)
+        assert_canonical(a.scale(c))
+        assert a.scale(c).entries == ref_scale(f, a.entries, c)
+        for derived in (a + a, a - a, -a, a.transpose(), a.hstack(a),
+                        a.submatrix(range(rows), range(inner))):
+            assert_canonical(derived)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_rref_and_nullspace(self, data):
+        f = data.draw(FIELDS)
+        a = data.draw(matrices(f))
+        reduced, pivots = rref(a)
+        assert_canonical(reduced)
+        assert (reduced.entries, pivots) == ref_rref(f, a.entries, a.cols)
+        basis = nullspace_basis(a)
+        for v in basis:
+            assert_canonical(v)
+        assert [v.entries for v in basis] == ref_nullspace(f, a.entries, a.cols)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_solve_or_invert(self, data):
+        f = data.draw(FIELDS)
+        n = data.draw(st.integers(0, 5))
+        a = data.draw(matrices(f, n, n))
+        expected = ref_inverse(f, a.entries, n)
+        if expected is None:
+            with pytest.raises(NotInvertible):
+                solve_or_invert(a)
+        else:
+            inv = solve_or_invert(a)
+            assert_canonical(inv)
+            assert inv.entries == expected
