@@ -472,6 +472,8 @@ def extend_invariant(M_prime: Representation, arrow_name: str, case: str) -> Alg
     """
     if case not in ("i", "ii", "iii", "iv"):
         raise ValueError(f"case must be one of i, ii, iii, iv, got {case!r}")
+    if not M_prime.quiver.has_arrow(arrow_name):
+        raise ValueError(f"no arrow {arrow_name!r} in the module's quiver")
     if not is_brick(M_prime):
         raise NotABrick("module is not a brick")
     q_prime = M_prime.quiver
@@ -701,6 +703,9 @@ def localisation_presentation(q_prime: Quiver, arrow_paths: dict[str, list[str]]
         raise PathMismatch("quivers must share the vertex list")
     if not is_exceptional(M):
         raise NotExceptional("module must be exceptional (brick with no self-extensions)")
+    for name in arrow_paths:
+        if not q.has_arrow(name):
+            raise PathMismatch(f"path given for {name!r}, not an arrow of the module's quiver")
     for a in q.arrows:
         path = arrow_paths.get(a.name)
         if not path:
@@ -837,7 +842,9 @@ def verify_epimorphism(h: AlgebraHom, degree_bound: int | None = None) -> EpiRep
     combined, gens = commutant_ideal_gens(h)
     targets = required_elements(h, combined)
     if degree_bound is None:
-        degree_bound = max((default_degree_bound(gens, p) for _, p in targets), default=2)
+        # the bound grows with the target's degree, so the largest one sets it
+        degree_bound = default_degree_bound(
+            gens, max((p for _, p in targets), key=FreePoly.degree)) if targets else 2
     results = decide_memberships(gens, [poly for _, poly in targets], degree_bound)
     elements = []
     for (label, poly), res in zip(targets, results):
@@ -949,7 +956,10 @@ def specialize(h: AlgebraHom, assignment: dict[str, ExactMatrix],
     subst_idems = [_substitute_freemat(h.idem_images[v], assignment, ell, field)
                    for v in q.vertices]
     u, block_ranks = idempotent_diagonalize(subst_idems)
-    u_inv = solve_or_invert(u)
+    # a standard-layout hom needs no conjugation: u is the identity
+    conjugate = u != ExactMatrix.identity(field, u.rows)
+    if conjugate:
+        u_inv = solve_or_invert(u)
     dims = {v: r for v, r in zip(q.vertices, block_ranks)}
     offsets = {}
     acc = 0
@@ -958,7 +968,9 @@ def specialize(h: AlgebraHom, assignment: dict[str, ExactMatrix],
         acc += dims[v]
     maps = {}
     for a in q.arrows:
-        conj = u_inv * _substitute_freemat(h.arrow_images[a.name], assignment, ell, field) * u
+        conj = _substitute_freemat(h.arrow_images[a.name], assignment, ell, field)
+        if conjugate:
+            conj = u_inv * conj * u
         rows = range(offsets[a.target], offsets[a.target] + dims[a.target])
         cols = range(offsets[a.source], offsets[a.source] + dims[a.source])
         maps[a.name] = conj.submatrix(rows, cols)

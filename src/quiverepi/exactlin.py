@@ -6,9 +6,16 @@ same matrix code runs over either field.  Besides scalar operations, each
 Field supplies three row kernels, dot(xs, ys), row_sub(xs, c, ys) = xs - c*ys
 and row_scale(c, xs), each doing one field operation per result entry (over
 GF(p) one `% p`), and the dense matrix code is written against those.
-Everything is exact: no floats, no pivoting heuristics.  The elimination
-pivot rule is fixed (first nonzero entry scanning rows top to bottom,
-columns left to right) so every result is deterministic.
+Each Field also supplies its own Gauss-Jordan elimination, which rref and
+everything built on it (rank, nullspace_basis, column_space_basis,
+solve_or_invert) calls: over GF(p) a loop on the row kernels, over QQ a
+fraction-free loop on Python integers (Bareiss's exact division by the
+previous pivot) that forms Fractions only for the final rows.  The reduced
+row echelon form and its pivot columns are unique, so both give the same
+result as any other exact elimination.  Everything is exact: no floats, no
+pivoting heuristics.  The elimination pivot rule is fixed (first nonzero
+entry scanning rows top to bottom, columns left to right) so every result
+is deterministic.
 
 The public ExactMatrix constructor coerces every entry and rejects ragged
 rows.  Operations whose entries already lie in the field build their result
@@ -20,6 +27,7 @@ so a zero entry is falsy and equal entries compare equal.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -90,6 +98,62 @@ class RationalField:
 
     def row_scale(self, c, xs):
         return [c * x for x in xs]
+
+    def eliminate(self, rows, cols: int) -> tuple[list[list], list[int]]:
+        """Reduced row echelon rows and pivot columns, fraction-free.
+
+        Each row is first scaled by the lcm of its denominators, so the
+        elimination runs on integers, as Bareiss's: at pivot p in column c
+        every other row becomes (p*row - row[c]*pivot_row) / prev, prev
+        being the previous pivot (1 at first), which scales a row with a
+        zero in column c by p / prev.  Each division is exact, because every
+        entry is then a minor of the scaled matrix.  Here that scaling is
+        deferred: level[i] is the pivot row i was last brought up to, its
+        Bareiss value is a[i] * prev / level[i], and its next update divides
+        by level[i] instead of prev, so a row is only rewritten when it has
+        a nonzero in the pivot column.  Finally pivot row i is a[i] /
+        level[i] (its pivot entry equals level[i]), the unique RREF; the
+        other rows are zero.
+        """
+        a = []
+        for row in rows:
+            den = lcm(*[x.denominator for x in row])
+            a.append([x.numerator * (den // x.denominator) for x in row] if den > 1
+                     else [x.numerator for x in row])
+        n = len(a)
+        level = [1] * n
+        pivots: list[int] = []
+        prev = 1
+        for c in range(cols):
+            r = len(pivots)
+            for i in range(r, n):
+                if a[i][c]:
+                    break
+            else:
+                continue
+            a[r], a[i] = a[i], a[r]
+            level[r], level[i] = level[i], level[r]
+            # rows from r down are zero left of column c
+            top = a[r]
+            if level[r] != prev:
+                top[c:] = [x * prev // level[r] for x in top[c:]]
+            p, tail = top[c], top[c:]
+            for i, row in enumerate(a):
+                q = row[c]
+                if q and i != r:
+                    d = level[i]
+                    if i < r:
+                        row[:] = [(p * x - q * y) // d for x, y in zip(row, top)]
+                    else:
+                        row[c:] = [(p * x - q * y) // d for x, y in zip(row[c:], tail)]
+                    level[i] = p
+            level[r] = prev = p
+            pivots.append(c)
+            if r + 1 == n:
+                break
+        r, zero = len(pivots), Fraction(0)
+        out = [[Fraction(x, d) if x else zero for x in row] for row, d in zip(a[:r], level)]
+        return out + [[zero] * cols] * (n - r), pivots
 
     def to_str(self, a):
         return str(a)
@@ -168,6 +232,33 @@ class PrimeField:
     def row_scale(self, c, xs):
         p = self.p
         return [c * x % p for x in xs]
+
+    def eliminate(self, rows, cols: int) -> tuple[list[list], list[int]]:
+        """Reduced row echelon rows and pivot columns, by Gauss-Jordan on
+        the row kernels."""
+        a = [list(row) for row in rows]
+        n = len(a)
+        pivots: list[int] = []
+        r = 0
+        for c in range(cols):
+            pivot_row = -1
+            for i in range(r, n):
+                if a[i][c]:
+                    pivot_row = i
+                    break
+            if pivot_row < 0:
+                continue
+            a[r], a[pivot_row] = a[pivot_row], a[r]
+            # the pivot row is zero left of column c, so only its tail does work
+            tail = a[r][c:] = self.row_scale(self.inv(a[r][c]), a[r][c:])
+            for i in range(n):
+                if i != r and a[i][c]:
+                    a[i][c:] = self.row_sub(a[i][c:], a[i][c], tail)
+            pivots.append(c)
+            r += 1
+            if r == n:
+                break
+        return a, pivots
 
     def to_str(self, a):
         return str(a % self.p)
@@ -359,31 +450,10 @@ def _block_identity(field, n: int, start: int, stop: int) -> ExactMatrix:
 
 
 def rref(m: ExactMatrix) -> tuple[ExactMatrix, list[int]]:
-    """Reduced row echelon form and pivot column list (fixed pivot rule)."""
-    f = m.field
-    row_scale, row_sub = f.row_scale, f.row_sub
-    a = [list(row) for row in m.entries]
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        pivot_row = -1
-        for i in range(r, m.rows):
-            if a[i][c]:
-                pivot_row = i
-                break
-        if pivot_row < 0:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        # the pivot row is zero left of column c, so only its tail does work
-        tail = a[r][c:] = row_scale(f.inv(a[r][c]), a[r][c:])
-        for i in range(m.rows):
-            if i != r and a[i][c]:
-                a[i][c:] = row_sub(a[i][c:], a[i][c], tail)
-        pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
-    return ExactMatrix._of(f, a, m.cols), pivots
+    """Reduced row echelon form and pivot column list (fixed pivot rule),
+    by the field's own elimination."""
+    rows, pivots = m.field.eliminate(m.entries, m.cols)
+    return ExactMatrix._of(m.field, rows, m.cols), pivots
 
 
 def rank(m: ExactMatrix) -> int:

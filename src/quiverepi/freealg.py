@@ -55,6 +55,8 @@ class FreeAlgebra:
         self._index = {name: i for i, name in enumerate(self.letters)}
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, FreeAlgebra)
             and self.field == other.field

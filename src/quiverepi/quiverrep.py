@@ -345,7 +345,8 @@ def parse_representation(text: str, quiver: Quiver, field=QQ) -> Representation:
 
     Lines: optional `quiver <file>` header (ignored here; used by
     load_representation), `dims <v>=<n> ...`, then `map <arrow> <row> ; <row>`
-    with rational entries.  Arrows without a map line get the zero matrix.
+    with rational entries, at most one per arrow.  Arrows without a map line
+    get the zero matrix.
     """
     dims: dict[str, int] | None = None
     maps: dict[str, ExactMatrix] = {}
@@ -377,6 +378,8 @@ def parse_representation(text: str, quiver: Quiver, field=QQ) -> Representation:
             name = tokens[1]
             if not quiver.has_arrow(name):
                 raise UnknownArrow(f"line {lineno}: unknown arrow {name!r}")
+            if name in maps:
+                raise RepresentationError(f"line {lineno}: second 'map' line for arrow {name!r}")
             a = quiver.arrow(name)
             body = line.split(None, 2)[2] if len(tokens) > 2 else ""
             rows = []

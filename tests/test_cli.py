@@ -54,6 +54,15 @@ class TestCheck:
         assert code == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize("maps", ["map a 0\nmap a 1\n", "map a 1\nmap a 0\n"])
+    def test_second_map_line_for_an_arrow(self, workdir, capsys, maps):
+        (workdir / "twice.rep").write_text("quiver a2.quiver\ndims 1=1 2=1\n" + maps)
+        code = main(["check", str(workdir / "twice.rep")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 4:") and "'a'" in captured.err
+
     def test_prime_field(self, workdir, capsys):
         code, report = run(capsys, ["--field", "fp:5", "check", workdir / "brick.rep"])
         assert code == 0
@@ -132,6 +141,24 @@ class TestBuild:
         )
         code = main(["build", "invariant", str(workdir / "kr_reg2.rep"), "b", "v"])
         assert code == 2
+
+    def test_build_invariant_unknown_arrow(self, workdir, capsys):
+        (workdir / "kr_reg3.rep").write_text(
+            "quiver kronecker.quiver\ndims 1=1 2=1\nmap a 1\n"
+        )
+        code = main(["build", "invariant", str(workdir / "kr_reg3.rep"), "zz", "i"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "'zz'" in err
+
+    @pytest.mark.parametrize("spec", ["zz=a", "b=a"])
+    def test_build_presentation_path_for_unknown_arrow(self, workdir, capsys, spec):
+        code = main(["build", "presentation", str(workdir / "brick.rep"),
+                     str(workdir / "kronecker.quiver"), "--path", spec])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and repr(spec.split("=")[0]) in captured.err
 
     def test_allow_non_brick_flag(self, workdir, capsys):
         code, report = run(capsys, [

@@ -395,6 +395,36 @@ def matrices(draw, field, rows=None, cols=None):
     return ExactMatrix(field, grid, cols=cols)
 
 
+DENOMINATORS = st.sampled_from([1, 2, 3, 7])
+BIG_ENTRIES = st.builds(Fraction, st.integers(-10**6, 10**6), DENOMINATORS)
+SMALL_ENTRIES = st.builds(Fraction, st.integers(-3, 3), DENOMINATORS)
+
+
+@st.composite
+def rational_matrices(draw):
+    rows, cols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    sparse = draw(st.booleans())
+    entries = draw(st.sampled_from(
+        [SMALL_ENTRIES, BIG_ENTRIES, st.one_of(SMALL_ENTRIES, BIG_ENTRIES)]))
+
+    def cell():
+        return Fraction(0) if sparse and draw(st.integers(0, 3)) else draw(entries)
+
+    grid = [[cell() for _ in range(cols)] for _ in range(rows)]
+    if cols:
+        for j in draw(st.sets(st.integers(0, cols - 1), max_size=2)):
+            for row in grid:
+                row[j] = Fraction(0)
+    if rows >= 2 and draw(st.booleans()):
+        # rows from k on are combinations of the first k rows
+        k = draw(st.integers(1, rows - 1))
+        for i in range(k, rows):
+            s, t = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+            cs, ct = draw(SMALL_ENTRIES), draw(SMALL_ENTRIES)
+            grid[i] = [cs * x + ct * y for x, y in zip(grid[s], grid[t])]
+    return ExactMatrix(QQ, grid, cols=cols)
+
+
 class TestKernelEquivalence:
     """The row kernels give exactly the per-entry reference results, over QQ
     and GF(101), including 0xN, Nx0 and inner-dimension-0 shapes."""
@@ -444,3 +474,20 @@ class TestKernelEquivalence:
             inv = solve_or_invert(a)
             assert_canonical(inv)
             assert inv.entries == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_rref_over_qq_larger_systems(self, data):
+        """The fraction-free QQ elimination against the Fraction loop, on
+        systems large enough for many exact divisions by earlier pivots:
+        up to 9x9, large numerators, mixed denominators, sparse rows, zero
+        columns and dependent rows."""
+        a = data.draw(rational_matrices())
+        reduced, pivots = rref(a)
+        assert_canonical(reduced)
+        assert (reduced.entries, pivots) == ref_rref(QQ, a.entries, a.cols)
+        basis = nullspace_basis(a)
+        for v in basis:
+            assert_canonical(v)
+        assert [v.entries for v in basis] == ref_nullspace(QQ, a.entries, a.cols)
+

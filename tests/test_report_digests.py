@@ -13,6 +13,12 @@ Refuted only after the span has run to the full default bound (4 and 6)
 with some elements still not found, so they pin the span's exhaustion path:
 certificates found along the way and the `not_found_up_to` entries.
 
+Three `check` reports are pinned as well, all over QQ: a (4,5) Kronecker
+draw with entries in -2..2 (exceptional), a (2,3) Kronecker module with
+rational entries (a brick) and the direct sum of the Kronecker modules of
+dimensions (2,3) and (1,2) (End of dimension 4); their End systems go
+through the QQ elimination with dependent rows and rescaled denominators.
+
 The glued 6x6 hom (the Kronecker module of dimension (2,3) glued at vertex
 2) is the largest verify report: Verified at the default bound, and
 Undetermined (exit 3) at `--degree 2`, where its two commutator elements
@@ -165,6 +171,25 @@ DIGESTS = {
     ),
 }
 
+# `check` cases: representation file -> its text
+CHECK_REPS = {
+    "kr45_draw.rep": "quiver kronecker.quiver\ndims 1=4 2=5\n"
+                     "map a 0 1 1 0 ; -2 0 0 -2 ; -2 1 -2 -2 ; 0 -2 0 -2 ; 2 -2 -1 0\n"
+                     "map b -1 -1 1 -2 ; 2 1 -1 -2 ; -2 -1 0 0 ; 0 0 -2 1 ; -2 -2 0 0\n",
+    "kr23_rational.rep": "quiver kronecker.quiver\ndims 1=2 2=3\n"
+                         "map a 1/3 0 ; 0 -7/2 ; 1 1\nmap b 0 2/7 ; 1/2 0 ; 0 -1/3\n",
+    "k23_plus_pre12.rep": "quiver kronecker.quiver\ndims 1=3 2=5\n"
+                          "map a 1 0 0 ; 0 1 0 ; 0 0 0 ; 0 0 1 ; 0 0 0\n"
+                          "map b 0 0 0 ; 1 0 0 ; 0 1 0 ; 0 0 0 ; 0 0 1\n",
+}
+
+# representation file -> SHA-256 of its `check` report
+CHECK_DIGESTS = {
+    "k23_plus_pre12.rep": "d703b2945c78cff1de9d5296336b22931adfaf08e6cd790a17ca8be83d979f34",
+    "kr23_rational.rep": "af2b80de02c152685ac6e8dfb6dea5757e069b93613b98bbfd7c90b498b29b05",
+    "kr45_draw.rep": "45182023aa3af14a4e1aadd06f8f3fe2f448227602cf946406eafd746ea2af14",
+}
+
 
 def case_outputs(name: str, capsys) -> tuple[bytes, bytes, bytes]:
     """Run one case in the current directory; returns the three outputs."""
@@ -187,3 +212,14 @@ def test_report_digests(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     got = tuple(hashlib.sha256(b).hexdigest() for b in case_outputs(name, capsys))
     assert got == DIGESTS[name]
+
+
+@pytest.mark.parametrize("rep", sorted(CHECK_REPS))
+def test_check_report_digests(rep, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for fname, text in {**QUIVERS, **CHECK_REPS}.items():
+        with open(fname, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    capsys.readouterr()
+    assert main(["check", rep]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CHECK_DIGESTS[rep]
