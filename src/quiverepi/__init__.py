@@ -47,6 +47,7 @@ from .quiverrep import (
     euler_form,
     ext1_dim,
     hom_basis,
+    hom_dim,
     invariant_under_end,
     is_brick,
     is_exceptional,

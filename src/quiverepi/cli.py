@@ -8,6 +8,7 @@ seeds give byte-identical output.  Exit codes: 0 Verified/pass, 1 Refuted,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -48,7 +49,10 @@ def _parse_dims(text: str) -> dict[str, int]:
         if "=" not in chunk:
             raise ValueError(f"bad dims entry {chunk!r}, expected <vertex>=<n>")
         v, d = chunk.split("=", 1)
-        dims[v.strip()] = int(d)
+        v = v.strip()
+        if v in dims:
+            raise ValueError(f"vertex {v!r} repeated in --dims")
+        dims[v] = int(d)
     return dims
 
 
@@ -227,8 +231,15 @@ _EXPECTED_INPUTS = {"brick": 1, "extend": 2, "invariant": 3, "glue": 2,
                     "canonical": 1, "presentation": 2}
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use: parsing leaves
+    it unchanged (each call fills a fresh namespace), so main reuses it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "check" and args.field is None:
         args.field = "q"

@@ -51,7 +51,8 @@ from .quiverrep import (
     end_dim,
     euler_form,
     find_end_invariance_violation,
-    hom_basis,
+    hom_basis,  # noqa: F401 - unused here; perfbench/test_checks.py traces this binding
+    hom_dim,
     is_brick,
     is_exceptional,
     kernel_image,
@@ -987,8 +988,8 @@ def _trial_dims(h: AlgebraHom, loops: Quiver, assignment: dict[str, ExactMatrix]
     if rep.total_dim() == 0:
         return 0, 0
     letters = Representation(loops, {"*": ell}, assignment, field=rep.field)
-    dim_path = hom_basis(rep, rep).dimension
-    dim_matrix = hom_basis(letters, letters).dimension
+    dim_path = hom_dim(rep, rep)
+    dim_matrix = hom_dim(letters, letters)
     if dim_path < dim_matrix:
         raise EpibuildError("internal: matrix-algebra End exceeded path-algebra End")
     return dim_path, dim_matrix

@@ -6,16 +6,19 @@ same matrix code runs over either field.  Besides scalar operations, each
 Field supplies three row kernels, dot(xs, ys), row_sub(xs, c, ys) = xs - c*ys
 and row_scale(c, xs), each doing one field operation per result entry (over
 GF(p) one `% p`), and the dense matrix code is written against those.
-Each Field also supplies its own Gauss-Jordan elimination, which rref and
-everything built on it (rank, nullspace_basis, column_space_basis,
-solve_or_invert) calls: over GF(p) a loop on the row kernels, over QQ a
-fraction-free loop on Python integers (Bareiss's exact division by the
-previous pivot) that forms Fractions only for the final rows.  The reduced
-row echelon form and its pivot columns are unique, so both give the same
-result as any other exact elimination.  Everything is exact: no floats, no
-pivoting heuristics.  The elimination pivot rule is fixed (first nonzero
-entry scanning rows top to bottom, columns left to right) so every result
-is deterministic.
+Each Field also supplies its own elimination, one pivot loop run two ways:
+over GF(p) on the row kernels, over QQ fraction-free on Python integers
+(Bareiss's exact division by the previous pivot).  Field.rank runs it
+forward only, clearing just the rows below each pivot, and over QQ forms no
+Fraction at all; rank is all that dimension counts (quiverrep.hom_dim)
+need.  Field.eliminate runs it as Gauss-Jordan, forming Fractions only for
+the final rows; rref, and everything that needs a basis or an inverse
+(nullspace_basis, column_space_basis, solve_or_invert), calls it.  The
+reduced row echelon form and its pivot columns are unique, so both fields
+give the same result as any other exact elimination.  Everything is exact:
+no floats, no pivoting heuristics.  The elimination pivot rule is fixed
+(first nonzero entry scanning rows top to bottom, columns left to right) so
+every result is deterministic.
 
 The public ExactMatrix constructor coerces every entry and rejects ragged
 rows.  Operations whose entries already lie in the field build their result
@@ -99,21 +102,21 @@ class RationalField:
     def row_scale(self, c, xs):
         return [c * x for x in xs]
 
-    def eliminate(self, rows, cols: int) -> tuple[list[list], list[int]]:
-        """Reduced row echelon rows and pivot columns, fraction-free.
+    def _echelon(self, rows, cols: int, full: bool) -> tuple[list[list], list[int], list[int]]:
+        """The fraction-free pivot loop shared by eliminate and rank.
 
         Each row is first scaled by the lcm of its denominators, so the
         elimination runs on integers, as Bareiss's: at pivot p in column c
-        every other row becomes (p*row - row[c]*pivot_row) / prev, prev
-        being the previous pivot (1 at first), which scales a row with a
+        every row to be cleared becomes (p*row - row[c]*pivot_row) / prev,
+        prev being the previous pivot (1 at first), which scales a row with a
         zero in column c by p / prev.  Each division is exact, because every
         entry is then a minor of the scaled matrix.  Here that scaling is
         deferred: level[i] is the pivot row i was last brought up to, its
         Bareiss value is a[i] * prev / level[i], and its next update divides
         by level[i] instead of prev, so a row is only rewritten when it has
-        a nonzero in the pivot column.  Finally pivot row i is a[i] /
-        level[i] (its pivot entry equals level[i]), the unique RREF; the
-        other rows are zero.
+        a nonzero in the pivot column.  With full, every other row is
+        cleared (Gauss-Jordan); without it only the rows below the pivot
+        are, which is all the rank needs.  Returns (a, level, pivots).
         """
         a = []
         for row in rows:
@@ -138,7 +141,7 @@ class RationalField:
             if level[r] != prev:
                 top[c:] = [x * prev // level[r] for x in top[c:]]
             p, tail = top[c], top[c:]
-            for i, row in enumerate(a):
+            for i, row in (enumerate(a) if full else enumerate(a[r + 1:], r + 1)):
                 q = row[c]
                 if q and i != r:
                     d = level[i]
@@ -151,9 +154,23 @@ class RationalField:
             pivots.append(c)
             if r + 1 == n:
                 break
+        return a, level, pivots
+
+    def eliminate(self, rows, cols: int) -> tuple[list[list], list[int]]:
+        """Reduced row echelon rows and pivot columns, fraction-free.
+
+        After the full pivot loop, pivot row i is a[i] / level[i] (its pivot
+        entry equals level[i]), the unique RREF; the other rows are zero.
+        """
+        a, level, pivots = self._echelon(rows, cols, True)
         r, zero = len(pivots), Fraction(0)
         out = [[Fraction(x, d) if x else zero for x in row] for row, d in zip(a[:r], level)]
-        return out + [[zero] * cols] * (n - r), pivots
+        return out + [[zero] * cols] * (len(a) - r), pivots
+
+    def rank(self, rows, cols: int) -> int:
+        """Row rank, by the forward-only fraction-free pass: no Fraction is
+        formed."""
+        return len(self._echelon(rows, cols, False)[2])
 
     def to_str(self, a):
         return str(a)
@@ -233,9 +250,10 @@ class PrimeField:
         p = self.p
         return [c * x % p for x in xs]
 
-    def eliminate(self, rows, cols: int) -> tuple[list[list], list[int]]:
-        """Reduced row echelon rows and pivot columns, by Gauss-Jordan on
-        the row kernels."""
+    def _echelon(self, rows, cols: int, full: bool) -> tuple[list[list], list[int]]:
+        """The pivot loop shared by eliminate and rank, on the row kernels:
+        each pivot row is scaled to a leading 1, then with full every other
+        row is cleared (Gauss-Jordan), without it only the rows below."""
         a = [list(row) for row in rows]
         n = len(a)
         pivots: list[int] = []
@@ -251,7 +269,7 @@ class PrimeField:
             a[r], a[pivot_row] = a[pivot_row], a[r]
             # the pivot row is zero left of column c, so only its tail does work
             tail = a[r][c:] = self.row_scale(self.inv(a[r][c]), a[r][c:])
-            for i in range(n):
+            for i in (range(n) if full else range(r + 1, n)):
                 if i != r and a[i][c]:
                     a[i][c:] = self.row_sub(a[i][c:], a[i][c], tail)
             pivots.append(c)
@@ -259,6 +277,14 @@ class PrimeField:
             if r == n:
                 break
         return a, pivots
+
+    def eliminate(self, rows, cols: int) -> tuple[list[list], list[int]]:
+        """Reduced row echelon rows and pivot columns, by Gauss-Jordan."""
+        return self._echelon(rows, cols, True)
+
+    def rank(self, rows, cols: int) -> int:
+        """Row rank, by the forward-only pass."""
+        return len(self._echelon(rows, cols, False)[1])
 
     def to_str(self, a):
         return str(a % self.p)
@@ -457,8 +483,8 @@ def rref(m: ExactMatrix) -> tuple[ExactMatrix, list[int]]:
 
 
 def rank(m: ExactMatrix) -> int:
-    """Row rank, by exact Gaussian elimination."""
-    return len(rref(m)[1])
+    """Row rank, by the field's forward-only elimination (no RREF)."""
+    return m.field.rank(m.entries, m.cols)
 
 
 def nullspace_basis(m: ExactMatrix) -> list[ExactMatrix]:

@@ -153,13 +153,10 @@ class Subspace:
         return rank(m.hstack(vector)) == self.dim()
 
 
-def hom_basis(M: Representation, N: Representation) -> IntertwinerBasis:
-    """Basis of the intertwiner space Hom(M, N).
-
-    Assembles the stacked linear system f_{t(e)} phi_e^M - phi_e^N f_{s(e)} = 0
-    over all arrows and returns the nullspace unpacked into per-vertex
-    matrices (shape dims_N[v] x dims_M[v]).
-    """
+def _intertwiner_system(M: Representation, N: Representation):
+    """The stacked linear system f_{t(e)} phi_e^M - phi_e^N f_{s(e)} = 0 of
+    Hom(M, N) over all arrows: (rows, unknowns, offsets), entry (p, r) of
+    f_v being unknown offsets[v] + p * dims_M[v] + r (row-major)."""
     if M.quiver != N.quiver:
         raise QuiverMismatch("representations live over different quivers")
     if M.field != N.field:
@@ -170,45 +167,58 @@ def hom_basis(M: Representation, N: Representation) -> IntertwinerBasis:
     for v in q.vertices:
         offsets[v] = total
         total += N.dims[v] * M.dims[v]
-
-    def unknown(v, p, r):
-        # entry (p, r) of f_v, row-major
-        return offsets[v] + p * M.dims[v] + r
-
+    zero = f.zero()
     rows = []
     for a in q.arrows:
-        phi_m = M.maps[a.name]
-        phi_n = N.maps[a.name]
-        bt, as_ = N.dims[a.target], M.dims[a.source]
-        for p in range(bt):
-            for r in range(as_):
-                row = [f.zero()] * total
-                # (f_t phi_m)_{pr} = sum_q (f_t)_{pq} (phi_m)_{qr}
-                for qq in range(M.dims[a.target]):
-                    c = phi_m.entry(qq, r)
-                    if not f.is_zero(c):
-                        k = unknown(a.target, p, qq)
-                        row[k] = f.add(row[k], c)
-                # (phi_n f_s)_{pr} = sum_q (phi_n)_{pq} (f_s)_{qr}
-                for qq in range(N.dims[a.source]):
-                    c = phi_n.entry(p, qq)
-                    if not f.is_zero(c):
-                        k = unknown(a.source, qq, r)
-                        row[k] = f.sub(row[k], c)
+        phi_m = M.maps[a.name].entries
+        phi_n = N.maps[a.name].entries
+        mt, ms = M.dims[a.target], M.dims[a.source]
+        o_t, o_s = offsets[a.target], offsets[a.source]
+        for p in range(N.dims[a.target]):
+            phi_n_p = phi_n[p]
+            for r in range(ms):
+                row = [zero] * total
+                # (f_t phi_m)_{pr} = sum_q (f_t)_{pq} (phi_m)_{qr}: distinct
+                # unknowns, each slot still empty
+                base = o_t + p * mt
+                for qq in range(mt):
+                    c = phi_m[qq][r]
+                    if c:
+                        row[base + qq] = c
+                # (phi_n f_s)_{pr} = sum_q (phi_n)_{pq} (f_s)_{qr}; on a loop
+                # (s = t) the slot may already hold a coefficient
+                for qq, c in enumerate(phi_n_p):
+                    if c:
+                        k = o_s + qq * ms + r
+                        row[k] = f.sub(row[k], c) if row[k] else f.neg(c)
                 rows.append(row)
-    system = ExactMatrix._of(f, rows, total)
+    return rows, total, offsets
+
+
+def hom_basis(M: Representation, N: Representation) -> IntertwinerBasis:
+    """Basis of the intertwiner space Hom(M, N): the nullspace of the
+    intertwiner system, unpacked into per-vertex matrices (shape
+    dims_N[v] x dims_M[v])."""
+    rows, total, offsets = _intertwiner_system(M, N)
+    f = M.field
     pairs = []
-    for vec in nullspace_basis(system):
+    for vec in nullspace_basis(ExactMatrix._of(f, rows, total)):
         flat = vec.column(0)
         tup = {}
-        for v in q.vertices:
-            entries = [
-                [flat[unknown(v, p, r)] for r in range(M.dims[v])]
-                for p in range(N.dims[v])
-            ]
-            tup[v] = ExactMatrix._of(f, entries, M.dims[v])
+        for v in M.quiver.vertices:
+            m, base = M.dims[v], offsets[v]
+            entries = [flat[base + p * m: base + (p + 1) * m] for p in range(N.dims[v])]
+            tup[v] = ExactMatrix._of(f, entries, m)
         pairs.append(tup)
     return IntertwinerBasis(pairs)
+
+
+def hom_dim(M: Representation, N: Representation) -> int:
+    """dim Hom(M, N): the unknowns of the intertwiner system minus its rank,
+    by forward-only elimination over the representations' own field; no
+    basis is built."""
+    rows, total, _ = _intertwiner_system(M, N)
+    return total - rank(ExactMatrix._of(M.field, rows, total))
 
 
 def end_basis(M: Representation) -> IntertwinerBasis:
@@ -216,12 +226,12 @@ def end_basis(M: Representation) -> IntertwinerBasis:
 
 
 def end_dim(M: Representation) -> int:
-    """dim End(M), from one solve of the intertwiner system.  Raises
+    """dim End(M), from the rank of the intertwiner system.  Raises
     ZeroModule on the zero module; dim Ext^1(M, M) is this minus the Euler
     form <dim M, dim M>."""
     if M.total_dim() == 0:
         raise ZeroModule("the zero module is not a brick candidate")
-    return hom_basis(M, M).dimension
+    return hom_dim(M, M)
 
 
 def is_brick(M: Representation) -> bool:
@@ -240,9 +250,7 @@ def euler_form(q: Quiver, alpha: dict[str, int], beta: dict[str, int]) -> int:
 
 def ext1_dim(M: Representation, N: Representation) -> int:
     """dim Ext^1(M, N) via the hereditary identity Hom - Ext^1 = Euler form."""
-    if M.quiver != N.quiver:
-        raise QuiverMismatch("representations live over different quivers")
-    return hom_basis(M, N).dimension - euler_form(M.quiver, M.dims, N.dims)
+    return hom_dim(M, N) - euler_form(M.quiver, M.dims, N.dims)
 
 
 def is_exceptional(M: Representation) -> bool:
@@ -366,6 +374,8 @@ def parse_representation(text: str, quiver: Quiver, field=QQ) -> Representation:
                 if "=" not in tok:
                     raise RepresentationError(f"line {lineno}: expected <vertex>=<dim>, got {tok!r}")
                 v, d = tok.split("=", 1)
+                if v in dims:
+                    raise RepresentationError(f"line {lineno}: vertex {v!r} repeated in 'dims'")
                 try:
                     dims[v] = int(d)
                 except ValueError:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from quiverepi import cli
 from quiverepi.cli import main
 
 A2 = "vertices 1 2\narrow a 1 2\n"
@@ -68,6 +69,15 @@ class TestCheck:
         assert code == 0
         assert report["brick"] is True
 
+    @pytest.mark.parametrize("dims", ["1=1 1=2 2=1", "1=1 2=1 1=1"])
+    def test_vertex_repeated_in_dims_line(self, workdir, capsys, dims):
+        (workdir / "twice.rep").write_text(f"quiver kronecker.quiver\ndims {dims}\n")
+        code = main(["check", str(workdir / "twice.rep")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 2:") and "'1'" in captured.err
+
 
 class TestBuild:
     def test_build_brick_writes_hom(self, workdir, capsys):
@@ -106,6 +116,14 @@ class TestBuild:
     def test_build_canonical_needs_dims(self, workdir, capsys):
         code = main(["build", "canonical", str(workdir / "kronecker.quiver")])
         assert code == 2
+
+    @pytest.mark.parametrize("dims", ["1=1,1=2,2=1", "1=1, 2=1, 1 =1"])
+    def test_build_canonical_vertex_repeated_in_dims(self, workdir, capsys, dims):
+        code = main(["build", "canonical", str(workdir / "kronecker.quiver"), "--dims", dims])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "'1'" in captured.err
 
     def test_build_canonical(self, workdir, capsys):
         code, report = run(capsys, [
@@ -268,6 +286,41 @@ class TestVerify:
         assert code == 2
         assert captured.err.startswith("error:")
         assert captured.out == ""
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no option value of one call
+    (the --field default, the --path append list) reaches a later call."""
+
+    def test_calls_match_a_fresh_parser(self, workdir, capsys):
+        # a = 101 vanishes mod 101: a brick over QQ, S1 + S2 over GF(101)
+        (workdir / "kr101.rep").write_text("quiver kronecker.quiver\ndims 1=1 2=1\nmap a 101\n")
+        rep, brick = str(workdir / "kr101.rep"), str(workdir / "brick.rep")
+        kronecker = str(workdir / "kronecker.quiver")
+        calls = [
+            ["--field", "fp:101", "check", rep],
+            ["check", rep],
+            ["build", "presentation", brick, kronecker, "--path", "a=b"],
+            ["build", "presentation", brick, kronecker],
+            ["build", "presentation", brick, kronecker, "--path", "a=a"],
+            ["--field", "fp:101", "check", rep],
+        ]
+        capsys.readouterr()
+        reused = []
+        for argv in calls:
+            code = main(argv)
+            reused.append((code, capsys.readouterr().out))
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            code = main(argv)
+            fresh.append((code, capsys.readouterr().out))
+        assert reused == fresh
+        assert [code for code, _ in reused] == [0] * len(calls)
+        end_dims = [json.loads(reused[i][1])["end_dim"] for i in (0, 1, 5)]
+        assert end_dims == [2, 1, 2]
+        generators = [json.loads(reused[i][1])["generators"] for i in (2, 3)]
+        assert generators == [["x[b]_1_1 - 1"], ["x[a]_1_1 - 1"]]
 
 
 def _drop_idem(data):

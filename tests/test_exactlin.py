@@ -491,3 +491,46 @@ class TestKernelEquivalence:
             assert_canonical(v)
         assert [v.entries for v in basis] == ref_nullspace(QQ, a.entries, a.cols)
 
+
+
+@st.composite
+def rank_inputs(draw):
+    """(field, rows, cols): rows as tuples of canonical entries, up to 12 by
+    12 so wide, tall and 0-row or 0-column shapes all occur, with zero rows
+    and dependent rows mixed in; over QQ with non-integer fractions."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(7), GF(101)]))
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    entries = (st.one_of(SCALARS, SMALL_ENTRIES, BIG_ENTRIES) if field == QQ
+               else st.one_of(st.sampled_from([0, 0, 1, -1]), st.integers(-10**6, 10**6)))
+    grid = [[field.coerce(draw(entries)) for _ in range(cols)] for _ in range(rows)]
+    if rows:
+        for i in draw(st.sets(st.integers(0, rows - 1), max_size=2)):
+            grid[i] = [field.zero()] * cols
+    if rows >= 2 and draw(st.booleans()):
+        # a row becomes a multiple of another plus a multiple of a third
+        i, j, k = (draw(st.integers(0, rows - 1)) for _ in range(3))
+        cj, ck = (field.coerce(draw(st.sampled_from([-2, -1, 1, 3]))) for _ in range(2))
+        grid[i] = [field.add(field.mul(cj, x), field.mul(ck, y)) for x, y in zip(grid[j], grid[k])]
+    return field, tuple(map(tuple, grid)), cols
+
+
+class TestForwardRank:
+    """Field.rank, the forward-only pass, counts exactly the pivots of the
+    Gauss-Jordan elimination, and leaves its input alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rank_inputs())
+    def test_rank_is_the_pivot_count(self, case):
+        field, rows, cols = case
+        expected = len(field.eliminate(rows, cols)[1])
+        assert field.rank(rows, cols) == expected
+        assert rank(ExactMatrix._of(field, rows, cols)) == expected
+        if field == QQ and rows and cols:
+            assert expected == to_sympy(ExactMatrix._of(field, rows, cols)).rank()
+
+    def test_rank_leaves_rows_unchanged(self):
+        for field in (QQ, GF(7)):
+            rows = [[field.coerce(x) for x in row] for row in ([2, 4, 1], [1, 2, 3], [0, 5, 5])]
+            copy = [list(row) for row in rows]
+            assert field.rank(rows, 3) == len(field.eliminate(rows, 3)[1])
+            assert rows == copy

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quiverepi.exactlin import QQ, ExactMatrix
-from quiverepi.quiver import parse_quiver
+from quiverepi.exactlin import GF, QQ, ExactMatrix
+from quiverepi.quiver import Quiver, parse_quiver
 from quiverepi.quiverrep import (
     DimensionExceeded,
     QuiverMismatch,
@@ -18,6 +20,7 @@ from quiverepi.quiverrep import (
     euler_form,
     ext1_dim,
     hom_basis,
+    hom_dim,
     invariant_under_end,
     is_brick,
     is_exceptional,
@@ -127,6 +130,49 @@ class TestHomBasis:
     def test_quiver_mismatch(self, a2_modules, a3_modules):
         with pytest.raises(QuiverMismatch):
             hom_basis(a2_modules["S1"], a3_modules["S1"])
+
+
+# the letters module of the specialization test: one vertex, one loop per letter
+LOOPS = Quiver(["*"], [("x1", "*", "*"), ("x2", "*", "*")], require_acyclic=False)
+ENTRIES = st.sampled_from([0, 0, 0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 2)])
+
+
+@st.composite
+def representations(draw, q, field):
+    dims = {v: draw(st.integers(0, 3)) for v in q.vertices}
+    maps = {a.name: [[draw(ENTRIES) for _ in range(dims[a.source])]
+                     for _ in range(dims[a.target])]
+            for a in q.arrows}
+    return Representation(q, dims, maps, field=field)
+
+
+class TestHomDim:
+    """hom_dim, the rank of the intertwiner system, agrees with the size of
+    the nullspace basis hom_basis builds, over QQ and GF(p)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_hom_basis(self, a2, a3, kronecker, data):
+        q = data.draw(st.sampled_from([a2, a3, kronecker, LOOPS]))
+        field = data.draw(st.sampled_from([QQ, GF(3), GF(101)]))
+        m = data.draw(representations(q, field))
+        n = m if data.draw(st.booleans()) else data.draw(representations(q, field))
+        assert hom_dim(m, n) == hom_basis(m, n).dimension
+
+    def test_loop_coefficients_cancel(self):
+        # f x - x f = 0 for a scalar x: both sums hit the one unknown and cancel
+        q = LOOPS
+        m = Representation(q, {"*": 1}, {"x1": [[3]], "x2": [[Fraction(1, 2)]]})
+        assert hom_dim(m, m) == hom_basis(m, m).dimension == 1
+        n = Representation(q, {"*": 2}, {"x1": [[0, 1], [0, 0]]})
+        assert hom_dim(n, n) == hom_basis(n, n).dimension == 2
+
+    def test_mismatch(self, a2_modules, a3_modules):
+        with pytest.raises(QuiverMismatch):
+            hom_dim(a2_modules["S1"], a3_modules["S1"])
+        p12 = a2_modules["P12"]
+        with pytest.raises(QuiverMismatch):
+            hom_dim(p12, Representation(p12.quiver, p12.dims, {"a": [[1]]}, field=GF(5)))
 
 
 class TestBrick:
