@@ -22,6 +22,7 @@ generators propagates to products because [V, ab] = [V, a] b + a [V, b].
 from __future__ import annotations
 
 import warnings
+from functools import reduce
 
 from .exactlin import (
     GF,
@@ -39,6 +40,7 @@ from .freealg import (
     FreeMat,
     FreePoly,
     IdealGens,
+    Word,
     decide_memberships,
     default_degree_bound,
 )
@@ -902,18 +904,33 @@ def linear_relations_from_end(M: Representation) -> list[FreePoly]:
 
 
 def _substitute_freemat(mat: FreeMat, assignment: dict[str, ExactMatrix],
-                        ell: int, field) -> ExactMatrix:
-    """Entrywise matrix substitution: an n x n FreeMat becomes n*ell x n*ell."""
-    n_rows, n_cols = mat.rows * ell, mat.cols * ell
-    grid = [[field.zero()] * n_cols for _ in range(n_rows)]
-    for i in range(mat.rows):
-        for j in range(mat.cols):
-            poly = mat.entry(i, j)
-            if poly.is_zero():
-                continue
-            cell = poly.substitute_matrices(assignment, ell, field)
-            for p in range(ell):
-                grid[i * ell + p][j * ell:(j + 1) * ell] = cell.entries[p]
+                        ell: int, field, words: dict[Word, ExactMatrix]) -> ExactMatrix:
+    """Entrywise matrix substitution: an n x n FreeMat becomes n*ell x n*ell.
+
+    Each term c*w of entry (i, j) adds c times the matrix of w into block
+    (i, j) of the grid, the empty word adding c on the block's diagonal.
+    words memoizes the word matrices, so that the calls of one
+    specialization multiply out each distinct word once."""
+    add, mul = field.add, field.mul
+    n_cols = mat.cols * ell
+    grid = [[field.zero()] * n_cols for _ in range(mat.rows * ell)]
+    for i, row in enumerate(mat.entries):
+        block = grid[i * ell:(i + 1) * ell]
+        for j, poly in enumerate(row):
+            j0 = j * ell
+            for w, c in poly.terms.items():
+                c = field.coerce(c)
+                if not w:
+                    for p, g in enumerate(block):
+                        g[j0 + p] = add(g[j0 + p], c)
+                    continue
+                m = words.get(w)
+                if m is None:
+                    m = words[w] = reduce(ExactMatrix.__mul__, [assignment[x] for x in w])
+                for g, w_row in zip(block, m.entries):
+                    for k, x in enumerate(w_row, j0):
+                        if x:
+                            g[k] = add(g[k], mul(c, x))
     return ExactMatrix._of(field, grid, n_cols)
 
 
@@ -954,7 +971,8 @@ def specialize(h: AlgebraHom, assignment: dict[str, ExactMatrix],
     q = h.source_quiver
     if not q.vertices:
         return Representation(q, {}, {}, field=field)
-    subst_idems = [_substitute_freemat(h.idem_images[v], assignment, ell, field)
+    words: dict[Word, ExactMatrix] = {}
+    subst_idems = [_substitute_freemat(h.idem_images[v], assignment, ell, field, words)
                    for v in q.vertices]
     u, block_ranks = idempotent_diagonalize(subst_idems)
     # a standard-layout hom needs no conjugation: u is the identity
@@ -969,7 +987,7 @@ def specialize(h: AlgebraHom, assignment: dict[str, ExactMatrix],
         acc += dims[v]
     maps = {}
     for a in q.arrows:
-        conj = _substitute_freemat(h.arrow_images[a.name], assignment, ell, field)
+        conj = _substitute_freemat(h.arrow_images[a.name], assignment, ell, field, words)
         if conjugate:
             conj = u_inv * conj * u
         rows = range(offsets[a.target], offsets[a.target] + dims[a.target])

@@ -6,19 +6,26 @@ same matrix code runs over either field.  Besides scalar operations, each
 Field supplies three row kernels, dot(xs, ys), row_sub(xs, c, ys) = xs - c*ys
 and row_scale(c, xs), each doing one field operation per result entry (over
 GF(p) one `% p`), and the dense matrix code is written against those.
-Each Field also supplies its own elimination, one pivot loop run two ways:
-over GF(p) on the row kernels, over QQ fraction-free on Python integers
-(Bareiss's exact division by the previous pivot).  Field.rank runs it
-forward only, clearing just the rows below each pivot, and over QQ forms no
-Fraction at all; rank is all that dimension counts (quiverrep.hom_dim)
-need.  Field.eliminate runs it as Gauss-Jordan, forming Fractions only for
-the final rows; rref, and everything that needs a basis or an inverse
+
+Each Field supplies its own Gauss-Jordan elimination, Field.eliminate: over
+GF(p) on the row kernels, over QQ fraction-free on Python integers
+(Bareiss's exact division by the previous pivot), forming Fractions only
+for the final rows.  rref, and everything that needs a basis or an inverse
 (nullspace_basis, column_space_basis, solve_or_invert), calls it.  The
 reduced row echelon form and its pivot columns are unique, so both fields
-give the same result as any other exact elimination.  Everything is exact:
-no floats, no pivoting heuristics.  The elimination pivot rule is fixed
-(first nonzero entry scanning rows top to bottom, columns left to right) so
-every result is deterministic.
+give the same result as any other exact elimination.
+
+Field.rank takes sparse rows, dicts {column: nonzero entry}, which is how
+quiverrep's intertwiner systems come: each of their rows has at most
+d_s + d_t nonzeros.  GF(p) ranks them by an incremental sparse echelon,
+reducing each row by the pivot rows kept so far until it vanishes or leads
+a new column.  QQ builds dense integer rows from the dicts and runs the
+forward half of its fraction-free elimination, which forms no Fraction at
+all; dict rows lose to fill-in there.  rank(m) hands a dense matrix's
+nonzero entries to Field.rank.  Everything is exact: no floats, no pivoting
+heuristics.  The elimination pivot rule is fixed (first nonzero entry
+scanning rows top to bottom, columns left to right) so every result is
+deterministic.
 
 The public ExactMatrix constructor coerces every entry and rejects ragged
 rows.  Operations whose entries already lie in the field build their result
@@ -102,11 +109,13 @@ class RationalField:
     def row_scale(self, c, xs):
         return [c * x for x in xs]
 
-    def _echelon(self, rows, cols: int, full: bool) -> tuple[list[list], list[int], list[int]]:
-        """The fraction-free pivot loop shared by eliminate and rank.
+    def _echelon(self, a: list[list[int]], cols: int,
+                 full: bool) -> tuple[list[list], list[int], list[int]]:
+        """The fraction-free pivot loop shared by eliminate and rank, run in
+        place on integer rows a, each a row of the input scaled by the lcm
+        of its denominators.
 
-        Each row is first scaled by the lcm of its denominators, so the
-        elimination runs on integers, as Bareiss's: at pivot p in column c
+        The elimination runs on integers, as Bareiss's: at pivot p in column c
         every row to be cleared becomes (p*row - row[c]*pivot_row) / prev,
         prev being the previous pivot (1 at first), which scales a row with a
         zero in column c by p / prev.  Each division is exact, because every
@@ -118,11 +127,6 @@ class RationalField:
         cleared (Gauss-Jordan); without it only the rows below the pivot
         are, which is all the rank needs.  Returns (a, level, pivots).
         """
-        a = []
-        for row in rows:
-            den = lcm(*[x.denominator for x in row])
-            a.append([x.numerator * (den // x.denominator) for x in row] if den > 1
-                     else [x.numerator for x in row])
         n = len(a)
         level = [1] * n
         pivots: list[int] = []
@@ -162,15 +166,27 @@ class RationalField:
         After the full pivot loop, pivot row i is a[i] / level[i] (its pivot
         entry equals level[i]), the unique RREF; the other rows are zero.
         """
-        a, level, pivots = self._echelon(rows, cols, True)
+        a = []
+        for row in rows:
+            den = lcm(*[x.denominator for x in row])
+            a.append([x.numerator * (den // x.denominator) for x in row] if den > 1
+                     else [x.numerator for x in row])
+        a, level, pivots = self._echelon(a, cols, True)
         r, zero = len(pivots), Fraction(0)
         out = [[Fraction(x, d) if x else zero for x in row] for row, d in zip(a[:r], level)]
         return out + [[zero] * cols] * (len(a) - r), pivots
 
-    def rank(self, rows, cols: int) -> int:
-        """Row rank, by the forward-only fraction-free pass: no Fraction is
-        formed."""
-        return len(self._echelon(rows, cols, False)[2])
+    def rank(self, rows: Iterable[dict], cols: int) -> int:
+        """Row rank of sparse rows {column: nonzero}, by the forward-only
+        fraction-free pass on dense integer rows: no Fraction is formed."""
+        a = []
+        for row in rows:
+            den = lcm(*[x.denominator for x in row.values()])
+            dense = [0] * cols
+            for j, x in row.items():
+                dense[j] = x.numerator * (den // x.denominator)
+            a.append(dense)
+        return len(self._echelon(a, cols, False)[2])
 
     def to_str(self, a):
         return str(a)
@@ -250,10 +266,10 @@ class PrimeField:
         p = self.p
         return [c * x % p for x in xs]
 
-    def _echelon(self, rows, cols: int, full: bool) -> tuple[list[list], list[int]]:
-        """The pivot loop shared by eliminate and rank, on the row kernels:
-        each pivot row is scaled to a leading 1, then with full every other
-        row is cleared (Gauss-Jordan), without it only the rows below."""
+    def eliminate(self, rows, cols: int) -> tuple[list[list], list[int]]:
+        """Reduced row echelon rows and pivot columns, by Gauss-Jordan on
+        the row kernels: each pivot row is scaled to a leading 1, then every
+        other row is cleared."""
         a = [list(row) for row in rows]
         n = len(a)
         pivots: list[int] = []
@@ -269,7 +285,7 @@ class PrimeField:
             a[r], a[pivot_row] = a[pivot_row], a[r]
             # the pivot row is zero left of column c, so only its tail does work
             tail = a[r][c:] = self.row_scale(self.inv(a[r][c]), a[r][c:])
-            for i in (range(n) if full else range(r + 1, n)):
+            for i in range(n):
                 if i != r and a[i][c]:
                     a[i][c:] = self.row_sub(a[i][c:], a[i][c], tail)
             pivots.append(c)
@@ -278,13 +294,34 @@ class PrimeField:
                 break
         return a, pivots
 
-    def eliminate(self, rows, cols: int) -> tuple[list[list], list[int]]:
-        """Reduced row echelon rows and pivot columns, by Gauss-Jordan."""
-        return self._echelon(rows, cols, True)
-
-    def rank(self, rows, cols: int) -> int:
-        """Row rank, by the forward-only pass."""
-        return len(self._echelon(rows, cols, False)[1])
+    def rank(self, rows: Iterable[dict], cols: int) -> int:
+        """Row rank of sparse rows {column: nonzero}, by an incremental
+        sparse echelon.  pivots maps each leading column to the rest of a
+        kept row scaled to a leading 1; each row is reduced by them, its
+        smallest column first, until it vanishes or leads a new column.
+        Subtracting a pivot row cancels the lead and touches only columns
+        right of it; the zeros it leaves are dropped when they come to
+        lead."""
+        p = self.p
+        pivots: dict[int, dict] = {}
+        for row in rows:
+            if len(pivots) == cols:
+                break
+            row = dict(row)
+            get = row.get
+            while row:
+                c = min(row)
+                q = row.pop(c)
+                if not q:
+                    continue
+                tail = pivots.get(c)
+                if tail is None:
+                    inv = pow(q, p - 2, p)
+                    pivots[c] = {j: x * inv % p for j, x in row.items() if x}
+                    break
+                for j, y in tail.items():
+                    row[j] = (get(j, 0) - q * y) % p
+        return len(pivots)
 
     def to_str(self, a):
         return str(a % self.p)
@@ -483,8 +520,10 @@ def rref(m: ExactMatrix) -> tuple[ExactMatrix, list[int]]:
 
 
 def rank(m: ExactMatrix) -> int:
-    """Row rank, by the field's forward-only elimination (no RREF)."""
-    return m.field.rank(m.entries, m.cols)
+    """Row rank, by the field's rank of the nonzero entries of each row (no
+    RREF)."""
+    return m.field.rank([{j: x for j, x in enumerate(row) if x} for row in m.entries],
+                        m.cols)
 
 
 def nullspace_basis(m: ExactMatrix) -> list[ExactMatrix]:

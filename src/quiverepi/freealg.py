@@ -525,12 +525,20 @@ class Certificate:
         self.terms = tuple(terms)
 
     def evaluate(self, gens: IdealGens) -> FreePoly:
+        """The combination, each term's words coeff * left * w * right added
+        into one dict.  Raises AlphabetMismatch on a letter outside the
+        generators' alphabet."""
         alg = gens.algebra
-        acc = alg.zero()
+        f = alg.field
+        acc: dict[Word, object] = {}
         for t in self.terms:
-            prod = alg.monomial(t.left) * gens.generators[t.gen_index] * alg.monomial(t.right)
-            acc = acc + prod.scale(t.coeff)
-        return acc
+            for name in t.left + t.right:
+                if name not in alg._index:
+                    raise AlphabetMismatch(f"letter {name!r} not in alphabet")
+            coeff = f.coerce(t.coeff)
+            for w, c in gens.generators[t.gen_index].terms.items():
+                _add_term(f, acc, t.left + w + t.right, f.mul(coeff, c))
+        return FreePoly(alg, acc)
 
     def max_degree(self, gens: IdealGens) -> int:
         return max(

@@ -156,7 +156,11 @@ class Subspace:
 def _intertwiner_system(M: Representation, N: Representation):
     """The stacked linear system f_{t(e)} phi_e^M - phi_e^N f_{s(e)} = 0 of
     Hom(M, N) over all arrows: (rows, unknowns, offsets), entry (p, r) of
-    f_v being unknown offsets[v] + p * dims_M[v] + r (row-major)."""
+    f_v being unknown offsets[v] + p * dims_M[v] + r (row-major).
+
+    Each row is sparse, a dict {unknown: nonzero coefficient}: it has at most
+    dims_M[t(e)] + dims_N[s(e)] entries out of sum_v dims_N[v] * dims_M[v]
+    unknowns."""
     if M.quiver != N.quiver:
         raise QuiverMismatch("representations live over different quivers")
     if M.field != N.field:
@@ -167,7 +171,6 @@ def _intertwiner_system(M: Representation, N: Representation):
     for v in q.vertices:
         offsets[v] = total
         total += N.dims[v] * M.dims[v]
-    zero = f.zero()
     rows = []
     for a in q.arrows:
         phi_m = M.maps[a.name].entries
@@ -176,33 +179,36 @@ def _intertwiner_system(M: Representation, N: Representation):
         o_t, o_s = offsets[a.target], offsets[a.source]
         for p in range(N.dims[a.target]):
             phi_n_p = phi_n[p]
+            base = o_t + p * mt
             for r in range(ms):
-                row = [zero] * total
                 # (f_t phi_m)_{pr} = sum_q (f_t)_{pq} (phi_m)_{qr}: distinct
-                # unknowns, each slot still empty
-                base = o_t + p * mt
-                for qq in range(mt):
-                    c = phi_m[qq][r]
-                    if c:
-                        row[base + qq] = c
+                # unknowns
+                row = {base + qq: c for qq, phi_m_q in enumerate(phi_m) if (c := phi_m_q[r])}
                 # (phi_n f_s)_{pr} = sum_q (phi_n)_{pq} (f_s)_{qr}; on a loop
-                # (s = t) the slot may already hold a coefficient
+                # (s = t) the unknown may already hold a coefficient, and the
+                # two may cancel
                 for qq, c in enumerate(phi_n_p):
                     if c:
                         k = o_s + qq * ms + r
-                        row[k] = f.sub(row[k], c) if row[k] else f.neg(c)
+                        x = f.sub(row[k], c) if k in row else f.neg(c)
+                        if x:
+                            row[k] = x
+                        else:
+                            del row[k]
                 rows.append(row)
     return rows, total, offsets
 
 
 def hom_basis(M: Representation, N: Representation) -> IntertwinerBasis:
     """Basis of the intertwiner space Hom(M, N): the nullspace of the
-    intertwiner system, unpacked into per-vertex matrices (shape
-    dims_N[v] x dims_M[v])."""
+    intertwiner system, its sparse rows made dense, unpacked into per-vertex
+    matrices (shape dims_N[v] x dims_M[v])."""
     rows, total, offsets = _intertwiner_system(M, N)
     f = M.field
+    zero = f.zero()
+    dense = [[row.get(k, zero) for k in range(total)] for row in rows]
     pairs = []
-    for vec in nullspace_basis(ExactMatrix._of(f, rows, total)):
+    for vec in nullspace_basis(ExactMatrix._of(f, dense, total)):
         flat = vec.column(0)
         tup = {}
         for v in M.quiver.vertices:
@@ -214,11 +220,12 @@ def hom_basis(M: Representation, N: Representation) -> IntertwinerBasis:
 
 
 def hom_dim(M: Representation, N: Representation) -> int:
-    """dim Hom(M, N): the unknowns of the intertwiner system minus its rank,
-    by forward-only elimination over the representations' own field; no
-    basis is built."""
+    """dim Hom(M, N): the unknowns of the intertwiner system minus its rank;
+    no basis is built.  The representations' own field ranks the sparse
+    rows: GF(p) by its sparse echelon, QQ by its fraction-free forward pass
+    on dense integer rows."""
     rows, total, _ = _intertwiner_system(M, N)
-    return total - rank(ExactMatrix._of(M.field, rows, total))
+    return total - M.field.rank(rows, total)
 
 
 def end_basis(M: Representation) -> IntertwinerBasis:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from quiverepi import cli, epibuild, freealg
 from quiverepi.exactlin import GF, QQ, ExactMatrix
 from quiverepi.epibuild import (
+    _substitute_freemat,
     _trial_dims,
     AlgebraHom,
     CertificateMismatch,
@@ -42,7 +44,7 @@ from quiverepi.epibuild import (
     substitute_letters,
     verify_epimorphism,
 )
-from quiverepi.freealg import FreeMat, IdealGens, IdealSpan, LinearElimination
+from quiverepi.freealg import FreeAlgebra, FreeMat, IdealGens, IdealSpan, LinearElimination
 from quiverepi.quiver import CycleError, Quiver, parse_quiver
 from quiverepi.quiverrep import (
     Representation,
@@ -603,6 +605,60 @@ class TestSpecialize:
                 }
                 rep = specialize(h, assignment, size=ell)
                 assert rep.dims == {v: ell * alpha[v] for v in h.source_quiver.vertices}
+
+
+SUBST_WORDS = st.one_of(
+    st.just(()),
+    st.sampled_from(["x", "y"]).map(lambda x: (x,)),
+    st.lists(st.sampled_from(["x", "y"]), min_size=2, max_size=3).map(tuple),
+)
+
+
+@st.composite
+def substitution_cases(draw):
+    """(mat, assignment, ell, field): a FreeMat over k<x, y> of up to 3x3
+    whose entries draw their words from a short list, so that words recur
+    across entries, with the empty word and words of length 2-3 among them;
+    ell x ell matrices for x and y."""
+    field = draw(st.sampled_from([QQ, GF(101)]))
+    ell = draw(st.sampled_from([1, 2, 3]))
+    alg = FreeAlgebra(field, ["x", "y"])
+    vocabulary = draw(st.lists(SUBST_WORDS, min_size=1, max_size=5))
+    coeffs = st.sampled_from([-2, -1, 1, 3, Fraction(1, 3), Fraction(-5, 2)])
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    mat = FreeMat(alg, [[alg.poly({w: draw(coeffs)
+                                   for w in draw(st.lists(st.sampled_from(vocabulary), max_size=3))})
+                         for _ in range(cols)] for _ in range(rows)], cols=cols)
+    scalars = st.sampled_from([0, 0, 1, -1, 2, 7, Fraction(1, 2)])
+    assignment = {x: ExactMatrix(field, [[draw(scalars) for _ in range(ell)] for _ in range(ell)])
+                  for x in alg.letters}
+    return mat, assignment, ell, field
+
+
+class TestSubstitution:
+    """_substitute_freemat, which adds each term's word matrix into the grid,
+    agrees block by block with FreePoly.substitute_matrices, and multiplies
+    out each distinct nonempty word once per memo."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(substitution_cases())
+    def test_matches_per_entry_substitution(self, case):
+        mat, assignment, ell, field = case
+        grid = [[field.zero()] * (mat.cols * ell) for _ in range(mat.rows * ell)]
+        for i, row in enumerate(mat.entries):
+            for j, poly in enumerate(row):
+                cell = poly.substitute_matrices(assignment, ell, field)
+                for p in range(ell):
+                    grid[i * ell + p][j * ell:(j + 1) * ell] = cell.entries[p]
+        words = {}
+        for _ in range(2):
+            got = _substitute_freemat(mat, assignment, ell, field, words)
+            assert (got.rows, got.cols) == (mat.rows * ell, mat.cols * ell)
+            assert got.entries == tuple(map(tuple, grid))
+            assert all(type(x) is (Fraction if field == QQ else int) for row in got.entries
+                       for x in row)
+        used = {w for row in mat.entries for poly in row for w in poly.terms}
+        assert set(words) == used - {()}
 
 
 class TestRefutation:

@@ -514,8 +514,43 @@ def rank_inputs(draw):
     return field, tuple(map(tuple, grid)), cols
 
 
+def sparse(rows):
+    """Dense rows as the dict rows {column: nonzero} Field.rank takes."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+@st.composite
+def sparse_rank_inputs(draw):
+    """(field, dict rows, cols) with up to 16 columns and 16 rows, each row
+    holding a few nonzeros: 0 rows, empty dicts, duplicated rows and rows
+    that are combinations of earlier ones all occur; over QQ the entries
+    include non-integer fractions."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(7), GF(101)]))
+    cols = draw(st.integers(0, 16))
+    entries = (st.one_of(SMALL_ENTRIES, BIG_ENTRIES) if field == QQ
+               else st.integers(-10**6, 10**6))
+    rows = []
+    for _ in range(draw(st.integers(0, 16))):
+        kind = draw(st.sampled_from(["new", "new", "empty", "duplicate", "combination"]))
+        if kind == "empty" or not cols:
+            rows.append({})
+        elif kind == "new" or not rows:
+            support = draw(st.sets(st.integers(0, cols - 1), max_size=4))
+            row = {j: field.coerce(draw(entries)) for j in support}
+            rows.append({j: x for j, x in row.items() if x})
+        elif kind == "duplicate":
+            rows.append(dict(draw(st.sampled_from(rows))))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            ca, cb = (field.coerce(draw(st.sampled_from([-2, -1, 1, 3]))) for _ in range(2))
+            row = {j: field.add(field.mul(ca, a.get(j, field.zero())),
+                                field.mul(cb, b.get(j, field.zero()))) for j in {**a, **b}}
+            rows.append({j: x for j, x in row.items() if x})
+    return field, rows, cols
+
+
 class TestForwardRank:
-    """Field.rank, the forward-only pass, counts exactly the pivots of the
+    """Field.rank, on sparse rows, counts exactly the pivots of the
     Gauss-Jordan elimination, and leaves its input alone."""
 
     @settings(max_examples=300, deadline=None)
@@ -523,14 +558,22 @@ class TestForwardRank:
     def test_rank_is_the_pivot_count(self, case):
         field, rows, cols = case
         expected = len(field.eliminate(rows, cols)[1])
-        assert field.rank(rows, cols) == expected
+        assert field.rank(sparse(rows), cols) == expected
         assert rank(ExactMatrix._of(field, rows, cols)) == expected
         if field == QQ and rows and cols:
             assert expected == to_sympy(ExactMatrix._of(field, rows, cols)).rank()
 
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_rank_inputs())
+    def test_sparse_rank_is_the_pivot_count(self, case):
+        field, rows, cols = case
+        dense = [[row.get(j, field.zero()) for j in range(cols)] for row in rows]
+        assert field.rank(rows, cols) == len(field.eliminate(dense, cols)[1])
+
     def test_rank_leaves_rows_unchanged(self):
         for field in (QQ, GF(7)):
             rows = [[field.coerce(x) for x in row] for row in ([2, 4, 1], [1, 2, 3], [0, 5, 5])]
-            copy = [list(row) for row in rows]
-            assert field.rank(rows, 3) == len(field.eliminate(rows, 3)[1])
-            assert rows == copy
+            dicts = sparse(rows)
+            copy = [dict(row) for row in dicts]
+            assert field.rank(dicts, 3) == len(field.eliminate(rows, 3)[1])
+            assert dicts == copy

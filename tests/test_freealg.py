@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from quiverepi.exactlin import GF, QQ
 from quiverepi.freealg import (
     AlphabetMismatch,
+    Certificate,
+    CertTerm,
     DegreeBoundTooSmall,
     FreeAlgebra,
     FreeMat,
@@ -168,6 +170,25 @@ class TestMembership:
         res = ideal_membership(gens, vxy.zero(), 0)
         assert res.member
         assert res.certificate.evaluate(gens).is_zero()
+
+    def test_certificate_evaluate_against_products(self, xy):
+        """Certificate.evaluate equals the term-by-term sum of
+        coeff * left * gen * right, cancelling terms included, and rejects a
+        letter outside the generators' alphabet."""
+        x, y = xy.letter("x"), xy.letter("y")
+        gens = IdealGens(xy, [x * y - y, x + Fraction(1, 2)])
+        terms = [CertTerm(Fraction(2), ("x",), 0, ()), CertTerm(Fraction(-2), (), 0, ("x",)),
+                 CertTerm(Fraction(1, 3), ("y", "x"), 1, ("y",)),
+                 CertTerm(Fraction(-1, 3), ("y", "x"), 1, ("y",))]
+        want = xy.zero()
+        for t in terms:
+            want = want + (xy.monomial(t.left) * gens.generators[t.gen_index]
+                           * xy.monomial(t.right)).scale(t.coeff)
+        g = gens.generators[0]
+        assert Certificate(terms).evaluate(gens) == want == 2 * (x * g - g * x)
+        for bad in (CertTerm(Fraction(1), ("z",), 0, ()), CertTerm(Fraction(1), (), 1, ("z",))):
+            with pytest.raises(AlphabetMismatch):
+                Certificate([bad]).evaluate(gens)
 
     def test_degree_bound_too_small(self, vxy):
         gens = IdealGens(vxy, [vxy.letter("v1_2")])

@@ -23,13 +23,22 @@ The glued 6x6 hom (the Kronecker module of dimension (2,3) glued at vertex
 2) is the largest verify report: Verified at the default bound, and
 Undetermined (exit 3) at `--degree 2`, where its two commutator elements
 are still unresolved.
+
+One glued hom is drawn rather than written out: the first Kronecker brick of
+dimension (3,4) that `random_representation` gives from `random.Random(3)`,
+glued at vertex 2 into M_8(k<x1,x2,x3>).  Its size-2 specialization trials
+rank the intertwiner systems of 16-dimensional modules, large enough for
+fill-in to matter in the sparse GF(p) elimination.
 """
 
 import hashlib
+import random
 
 import pytest
 
 from quiverepi.cli import main
+from quiverepi.quiver import parse_quiver
+from quiverepi.quiverrep import is_brick, random_representation, representation_to_text
 
 QUIVERS = {
     "a2.quiver": "vertices 1 2\narrow a 1 2\n",
@@ -191,6 +200,24 @@ CHECK_DIGESTS = {
 }
 
 
+# SHA-256 of (build report, hom file, verify report) of the glued (3,4) draw
+GLUED_KR34_DIGESTS = (
+    "6e1ae6ea9e19d4e290159ca2080abf8984a98520a6190072e97b4461ed10e744",
+    "f4683aeb52c7f00e47dd962784dff9067981d23e2a72d0f9dc4d63af412518ab",
+    "7b535c2831c6b6984e57e2c6f9e7e7a7c3b956097cbf5bdd142e98480740d26a",
+)
+
+
+def kronecker34_brick_text() -> str:
+    """The first Kronecker brick of dimension (3,4) drawn from random.Random(3)."""
+    q = parse_quiver(QUIVERS["kronecker.quiver"])
+    rng = random.Random(3)
+    while True:
+        m = random_representation(q, {"1": 3, "2": 4}, rng)
+        if is_brick(m):
+            return representation_to_text(m, "kronecker.quiver")
+
+
 def case_outputs(name: str, capsys) -> tuple[bytes, bytes, bytes]:
     """Run one case in the current directory; returns the three outputs."""
     for fname, text in {**QUIVERS, **REPS}.items():
@@ -223,3 +250,17 @@ def test_check_report_digests(rep, tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert main(["check", rep]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CHECK_DIGESTS[rep]
+
+
+def test_glued_kronecker34_digests(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "kronecker.quiver").write_text(QUIVERS["kronecker.quiver"], encoding="utf-8")
+    (tmp_path / "kr34.rep").write_text(kronecker34_brick_text(), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["build", "glue", "kr34.rep", "2", "--out", "kr34.hom.json"]) == 0
+    build_report = capsys.readouterr().out
+    assert main(["verify", "kr34.hom.json"]) == 0
+    verify_report = capsys.readouterr().out
+    outputs = (build_report.encode(), (tmp_path / "kr34.hom.json").read_bytes(),
+               verify_report.encode())
+    assert tuple(hashlib.sha256(b).hexdigest() for b in outputs) == GLUED_KR34_DIGESTS
