@@ -40,7 +40,6 @@ from .freealg import (
     FreeMat,
     FreePoly,
     IdealGens,
-    Word,
     decide_memberships,
     default_degree_bound,
 )
@@ -904,13 +903,11 @@ def linear_relations_from_end(M: Representation) -> list[FreePoly]:
 
 
 def _substitute_freemat(mat: FreeMat, assignment: dict[str, ExactMatrix],
-                        ell: int, field, words: dict[Word, ExactMatrix]) -> ExactMatrix:
+                        ell: int, field) -> ExactMatrix:
     """Entrywise matrix substitution: an n x n FreeMat becomes n*ell x n*ell.
 
     Each term c*w of entry (i, j) adds c times the matrix of w into block
-    (i, j) of the grid, the empty word adding c on the block's diagonal.
-    words memoizes the word matrices, so that the calls of one
-    specialization multiply out each distinct word once."""
+    (i, j) of the grid, the empty word adding c on the block's diagonal."""
     add, mul = field.add, field.mul
     n_cols = mat.cols * ell
     grid = [[field.zero()] * n_cols for _ in range(mat.rows * ell)]
@@ -924,9 +921,7 @@ def _substitute_freemat(mat: FreeMat, assignment: dict[str, ExactMatrix],
                     for p, g in enumerate(block):
                         g[j0 + p] = add(g[j0 + p], c)
                     continue
-                m = words.get(w)
-                if m is None:
-                    m = words[w] = reduce(ExactMatrix.__mul__, [assignment[x] for x in w])
+                m = reduce(ExactMatrix.__mul__, [assignment[x] for x in w])
                 for g, w_row in zip(block, m.entries):
                     for k, x in enumerate(w_row, j0):
                         if x:
@@ -971,8 +966,7 @@ def specialize(h: AlgebraHom, assignment: dict[str, ExactMatrix],
     q = h.source_quiver
     if not q.vertices:
         return Representation(q, {}, {}, field=field)
-    words: dict[Word, ExactMatrix] = {}
-    subst_idems = [_substitute_freemat(h.idem_images[v], assignment, ell, field, words)
+    subst_idems = [_substitute_freemat(h.idem_images[v], assignment, ell, field)
                    for v in q.vertices]
     u, block_ranks = idempotent_diagonalize(subst_idems)
     # a standard-layout hom needs no conjugation: u is the identity
@@ -987,7 +981,7 @@ def specialize(h: AlgebraHom, assignment: dict[str, ExactMatrix],
         acc += dims[v]
     maps = {}
     for a in q.arrows:
-        conj = _substitute_freemat(h.arrow_images[a.name], assignment, ell, field, words)
+        conj = _substitute_freemat(h.arrow_images[a.name], assignment, ell, field)
         if conjugate:
             conj = u_inv * conj * u
         rows = range(offsets[a.target], offsets[a.target] + dims[a.target])

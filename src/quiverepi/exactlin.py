@@ -21,11 +21,12 @@ d_s + d_t nonzeros.  GF(p) ranks them by an incremental sparse echelon,
 reducing each row by the pivot rows kept so far until it vanishes or leads
 a new column.  QQ builds dense integer rows from the dicts and runs the
 forward half of its fraction-free elimination, which forms no Fraction at
-all; dict rows lose to fill-in there.  rank(m) hands a dense matrix's
-nonzero entries to Field.rank.  Everything is exact: no floats, no pivoting
-heuristics.  The elimination pivot rule is fixed (first nonzero entry
-scanning rows top to bottom, columns left to right) so every result is
-deterministic.
+all; dict rows lose to fill-in there.  rank(m) calls Field.dense_rank,
+which over QQ runs that pass on the matrix's own rows and over GF(p)
+hands their nonzero entries to Field.rank.  Everything is exact: no
+floats, no pivoting heuristics.  The elimination pivot rule is fixed
+(first nonzero entry scanning rows top to bottom, columns left to right)
+so every result is deterministic.
 
 The public ExactMatrix constructor coerces every entry and rejects ragged
 rows.  Operations whose entries already lie in the field build their result
@@ -52,6 +53,14 @@ class NotInvertible(Exception):
 
 class NotIdempotentFamily(Exception):
     """Raised when an alleged orthogonal idempotent family fails a check."""
+
+
+def _integer_row(row) -> list[int]:
+    """A dense row of Fractions scaled by the lcm of its denominators."""
+    den = lcm(*[x.denominator for x in row])
+    if den == 1:
+        return [x.numerator for x in row]
+    return [x.numerator * (den // x.denominator) for x in row]
 
 
 class RationalField:
@@ -166,12 +175,7 @@ class RationalField:
         After the full pivot loop, pivot row i is a[i] / level[i] (its pivot
         entry equals level[i]), the unique RREF; the other rows are zero.
         """
-        a = []
-        for row in rows:
-            den = lcm(*[x.denominator for x in row])
-            a.append([x.numerator * (den // x.denominator) for x in row] if den > 1
-                     else [x.numerator for x in row])
-        a, level, pivots = self._echelon(a, cols, True)
+        a, level, pivots = self._echelon([_integer_row(row) for row in rows], cols, True)
         r, zero = len(pivots), Fraction(0)
         out = [[Fraction(x, d) if x else zero for x in row] for row, d in zip(a[:r], level)]
         return out + [[zero] * cols] * (len(a) - r), pivots
@@ -187,6 +191,10 @@ class RationalField:
                 dense[j] = x.numerator * (den // x.denominator)
             a.append(dense)
         return len(self._echelon(a, cols, False)[2])
+
+    def dense_rank(self, rows, cols: int) -> int:
+        """Row rank of dense rows, by the same forward-only pass."""
+        return len(self._echelon([_integer_row(row) for row in rows], cols, False)[2])
 
     def to_str(self, a):
         return str(a)
@@ -322,6 +330,10 @@ class PrimeField:
                 for j, y in tail.items():
                     row[j] = (get(j, 0) - q * y) % p
         return len(pivots)
+
+    def dense_rank(self, rows, cols: int) -> int:
+        """Row rank of dense rows, by rank on their nonzero entries."""
+        return self.rank([{j: x for j, x in enumerate(row) if x} for row in rows], cols)
 
     def to_str(self, a):
         return str(a % self.p)
@@ -520,10 +532,8 @@ def rref(m: ExactMatrix) -> tuple[ExactMatrix, list[int]]:
 
 
 def rank(m: ExactMatrix) -> int:
-    """Row rank, by the field's rank of the nonzero entries of each row (no
-    RREF)."""
-    return m.field.rank([{j: x for j, x in enumerate(row) if x} for row in m.entries],
-                        m.cols)
+    """Row rank, by the field's forward elimination (no RREF)."""
+    return m.field.dense_rank(m.entries, m.cols)
 
 
 def nullspace_basis(m: ExactMatrix) -> list[ExactMatrix]:

@@ -72,14 +72,19 @@ class FreeAlgebra:
     def monomial_key(self, word: Word):
         return (len(word), tuple(self._index[x] for x in word))
 
+    def _check_word(self, word) -> None:
+        """Raise AlphabetMismatch on the first letter of word outside the
+        alphabet."""
+        for name in word:
+            if name not in self._index:
+                raise AlphabetMismatch(f"letter {name!r} not in alphabet")
+
     def poly(self, terms: dict[Word, object]) -> "FreePoly":
         clean = {}
         for word, c in terms.items():
             c = self.field.coerce(c)
             if not self.field.is_zero(c):
-                for name in word:
-                    if name not in self._index:
-                        raise AlphabetMismatch(f"letter {name!r} not in alphabet")
+                self._check_word(word)
                 clean[tuple(word)] = c
         return FreePoly(self, clean)
 
@@ -93,8 +98,7 @@ class FreeAlgebra:
         return self.poly({(): c})
 
     def letter(self, name: str) -> "FreePoly":
-        if name not in self._index:
-            raise AlphabetMismatch(f"letter {name!r} not in alphabet")
+        self._check_word((name,))
         return FreePoly(self, {(name,): self.field.one()})
 
     def monomial(self, word: Word, c=1) -> "FreePoly":
@@ -180,8 +184,7 @@ class FreeAlgebra:
                 if not m:
                     raise PolyParseError(f"expected a letter at position {pos}")
                 name = m.group(0)
-                if name not in self._index:
-                    raise AlphabetMismatch(f"letter {name!r} not in alphabet")
+                self._check_word((name,))
                 word.append(name)
                 pos = m.end()
                 pos = skip_ws(pos)
@@ -532,9 +535,7 @@ class Certificate:
         f = alg.field
         acc: dict[Word, object] = {}
         for t in self.terms:
-            for name in t.left + t.right:
-                if name not in alg._index:
-                    raise AlphabetMismatch(f"letter {name!r} not in alphabet")
+            alg._check_word(t.left + t.right)
             coeff = f.coerce(t.coeff)
             for w, c in gens.generators[t.gen_index].terms.items():
                 _add_term(f, acc, t.left + w + t.right, f.mul(coeff, c))

@@ -550,8 +550,9 @@ def sparse_rank_inputs(draw):
 
 
 class TestForwardRank:
-    """Field.rank, on sparse rows, counts exactly the pivots of the
-    Gauss-Jordan elimination, and leaves its input alone."""
+    """Field.rank on sparse rows, and rank on a dense matrix, count exactly
+    the pivots of the Gauss-Jordan elimination, and leave their input
+    alone."""
 
     @settings(max_examples=300, deadline=None)
     @given(rank_inputs())
