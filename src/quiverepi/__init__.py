@@ -60,14 +60,12 @@ from .quiverrep import (
 from .freealg import (
     AlphabetMismatch,
     Certificate,
-    DegreeBoundTooSmall,
     FreeAlgebra,
     FreeMat,
     FreePoly,
     IdealGens,
     MembershipResult,
     decide_memberships,
-    ideal_membership,
 )
 from .epibuild import (
     AlgebraHom,

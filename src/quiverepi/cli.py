@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import epibuild, quiverrep
 from .exactlin import parse_field
-from .freealg import AlphabetMismatch, DegreeBoundTooSmall, PolyParseError
+from .freealg import AlphabetMismatch, PolyParseError
 from .quiver import QuiverError, parse_quiver
 from .quiverrep import RepresentationError, load_representation
 
@@ -23,7 +23,6 @@ INPUT_ERRORS = (
     QuiverError,
     RepresentationError,
     epibuild.EpibuildError,
-    DegreeBoundTooSmall,
     PolyParseError,
     AlphabetMismatch,
     OSError,

@@ -30,10 +30,6 @@ class ShapeMismatch(Exception):
     pass
 
 
-class DegreeBoundTooSmall(Exception):
-    pass
-
-
 class PolyParseError(Exception):
     pass
 
@@ -117,11 +113,7 @@ class FreeAlgebra:
 
     def words_of_degree(self, d: int):
         """All words of length d, in lexicographic order of the alphabet."""
-        if d == 0:
-            yield ()
-            return
-        for combo in itertools.product(self.letters, repeat=d):
-            yield combo
+        return itertools.product(self.letters, repeat=d)
 
     def parse(self, text: str) -> "FreePoly":
         """Parse the CLI/debug polynomial syntax, e.g. `3/2*x.y + v11 - 1`."""
@@ -288,11 +280,6 @@ class FreePoly:
     def is_scalar(self) -> bool:
         return self.degree() <= 0
 
-    def leading_word(self) -> Word:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading word")
-        return max(self.terms, key=self.algebra.monomial_key)
-
     def sorted_terms(self):
         """Terms in display order: degree descending, then alphabet-lex
         ascending (earlier letters first) within a degree."""
@@ -411,13 +398,6 @@ class FreeMat:
         grid[i][j] = algebra.one()
         return cls(algebra, grid, cols=n)
 
-    @classmethod
-    def from_scalar_matrix(cls, algebra, m: ExactMatrix):
-        if m.field != algebra.field:
-            raise AlphabetMismatch("scalar matrix over a different field")
-        return cls(algebra, [[algebra.scalar(x) for x in row] for row in m.entries],
-                   cols=m.cols)
-
     def entry(self, i, j) -> FreePoly:
         return self.entries[i][j]
 
@@ -476,10 +456,6 @@ class FreeMat:
         if not isinstance(p, FreePoly):
             p = self.algebra.scalar(p)
         return FreeMat(self.algebra, [[p * x for x in row] for row in self.entries],
-                       cols=self.cols)
-
-    def map_entries(self, fn) -> "FreeMat":
-        return FreeMat(self.algebra, [[fn(x) for x in row] for row in self.entries],
                        cols=self.cols)
 
     def _check_shape(self, other):
@@ -593,14 +569,6 @@ class IdealSpan:
     order (degree, generator index, left length, left word, right word), so
     the state after build_to(d) is deterministic.
 
-    Rows are never changed once stored, so a row whose only term is its lead
-    (a monomial row) puts that word itself in the span.  A product whose
-    words are all monomial-row leads is therefore already in the span:
-    reducing it would cancel one term per step, reach zero and store
-    nothing, so it is skipped.  A single-word product whose word leads no
-    row would come out of the reduction untouched, so it is stored directly.
-    Both shortcuts leave the stored rows exactly as the full reduction would.
-
     A generator's weight is the degree at which its products enter: the
     products of degree d are w_left * g * w_right with len(w_left) + weight +
     len(w_right) = d.  The weight defaults to the generator's degree, which
@@ -616,14 +584,9 @@ class IdealSpan:
         self._weights = ([g.degree() for g in gens.generators] if weights is None
                          else list(weights))
         self._rows: dict[Word, tuple[dict, dict]] = {}
-        self._monomial_leads: set[Word] = set()
         self._built = -1
         self._word_cache: dict[int, list[Word]] = {}
-        f = self.algebra.field
-        self._one = f.one()
-        # c^-1 for each single-term generator c*w, None for the others
-        self._monomial_inv = [f.inv(next(iter(g.terms.values()))) if len(g.terms) == 1 else None
-                              for g in gens.generators]
+        self._one = self.algebra.field.one()
 
     def _words(self, d: int) -> list[Word]:
         if d not in self._word_cache:
@@ -647,21 +610,7 @@ class IdealSpan:
                         self._insert(wl, gi, wr)
 
     def _insert(self, wl: Word, gi: int, wr: Word):
-        g = self.gens.generators[gi]
-        monomial_leads = self._monomial_leads
-        # the two monomial-row shortcuts of the class docstring
-        c_inv = self._monomial_inv[gi]
-        if c_inv is not None:
-            word = wl + next(iter(g.terms)) + wr
-            if word in monomial_leads:
-                return
-            if word not in self._rows:
-                self._rows[word] = ({word: self._one}, {(wl, gi, wr): c_inv})
-                monomial_leads.add(word)
-                return
-        elif all(wl + w + wr in monomial_leads for w in g.terms):
-            return
-        terms = {wl + w + wr: c for w, c in g.terms.items()}
+        terms = {wl + w + wr: c for w, c in self.gens.generators[gi].terms.items()}
         combo = {(wl, gi, wr): self._one}
         lead, terms, combo = self._reduce(terms, combo)
         if lead is None:
@@ -671,8 +620,6 @@ class IdealSpan:
         terms = {w: f.mul(inv, c) for w, c in terms.items()}
         combo = {k: f.mul(inv, c) for k, c in combo.items()}
         self._rows[lead] = (terms, combo)
-        if len(terms) == 1:
-            monomial_leads.add(lead)
 
     def _reduce(self, terms: dict, combo: dict):
         """Eliminate leading monomials against stored rows.
@@ -743,14 +690,6 @@ class IdealSpan:
                     results[i] = MembershipResult.found(cert, d)
             pending = still
         return results
-
-    def membership(self, target: FreePoly, degree_bound: int) -> MembershipResult:
-        """memberships() for one target whose degree must fit the bound."""
-        if target.degree() > degree_bound:
-            raise DegreeBoundTooSmall(
-                f"target has degree {target.degree()} > bound {degree_bound}"
-            )
-        return self.memberships([target], degree_bound)[0]
 
 
 def _certificate(combo: dict) -> Certificate:
@@ -909,15 +848,6 @@ def decide_memberships(gens: IdealGens, targets: list[FreePoly],
         else:
             results.append(MembershipResult.not_found(degree_bound))
     return results
-
-
-def ideal_membership(gens: IdealGens, target: FreePoly, degree_bound: int) -> MembershipResult:
-    """decide_memberships() for one target whose degree must fit the bound."""
-    if target.degree() > degree_bound:
-        raise DegreeBoundTooSmall(
-            f"target has degree {target.degree()} > bound {degree_bound}"
-        )
-    return decide_memberships(gens, [target], degree_bound)[0]
 
 
 def default_degree_bound(gens: IdealGens, target: FreePoly) -> int:

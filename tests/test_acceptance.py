@@ -35,7 +35,13 @@ from quiverepi.epibuild import (
     substitute_letters,
     verify_epimorphism,
 )
-from quiverepi.freealg import CertTerm, Certificate, FreeAlgebra, IdealGens, ideal_membership
+from quiverepi.freealg import (
+    CertTerm,
+    Certificate,
+    FreeAlgebra,
+    IdealGens,
+    decide_memberships,
+)
 from quiverepi.quiver import parse_quiver
 from quiverepi.quiverrep import (
     Representation,
@@ -145,7 +151,7 @@ def test_criterion_05_linear_relations(catalogue, a2_modules):
         assert mat.rank() == n * n - 1  # independent
         combined, gens = commutant_ideal_gens(build_brick_hom(m))
         for r in rels:
-            res = ideal_membership(gens, combined.embed(r), 1)
+            res = decide_memberships(gens, [combined.embed(r)], 1)[0]
             assert res.member
             assert res.certificate.evaluate(gens) == combined.embed(r)
     full_end = direct_sum(a2_modules["S1"], a2_modules["S1"])
@@ -226,7 +232,7 @@ def test_criterion_09_membership_soundness(a2, kronecker, kron_preprojective):
     alg = FreeAlgebra(QQ, ["v1_2", "v2_1"])
     gens = IdealGens(alg, [alg.letter("v1_2")])
     for bound in range(1, 7):
-        res = ideal_membership(gens, alg.letter("v2_1"), bound)
+        res = decide_memberships(gens, [alg.letter("v2_1")], bound)[0]
         assert not res.member
         assert res.searched_degree == bound
     report(9, f"{total} Member certificates re-evaluate exactly; "

@@ -309,8 +309,7 @@ class TestGlueVertex:
         assert h.algebra.letters == ("x1", "x2")
         rep = verify_epimorphism(h, 3)
         assert rep.verdict == "Verified"
-        # the whole report (generators and certificates), recorded with the
-        # plain reduction, before the span's monomial-row shortcuts
+        # the whole report (generators and certificates)
         text = json.dumps(rep.to_json_dict(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "6309d649ff2e4917cf39d94a67639c96f5e142b7c6c9cc560304cd4289b0a85e")
@@ -531,7 +530,7 @@ class TestLinearRelations:
             combined, gens = commutant_ideal_gens(build_brick_hom(m))
             span = IdealSpan(gens)
             for r in rels:
-                res = span.membership(combined.embed(r), 1)
+                res = span.memberships([combined.embed(r)], 1)[0]
                 assert res.member
                 assert res.certificate.evaluate(gens) == combined.embed(r)
 
