@@ -21,6 +21,7 @@ generators propagates to products because [V, ab] = [V, a] b + a [V, b].
 
 from __future__ import annotations
 
+import copy
 import warnings
 from functools import reduce
 
@@ -725,7 +726,7 @@ def localisation_presentation(q_prime: Quiver, arrow_paths: dict[str, list[str]]
     canonical = canonical_generic_hom(q_prime, M.dims, field=M.field)
     f_hom = build_brick_hom(M)
     alg = canonical.algebra
-    gens: list[FreePoly] = []
+    gens: dict[FreePoly, None] = {}  # insertion-ordered set
     for a in q.arrows:
         path = arrow_paths[a.name]
         prod = canonical.arrow_images[path[0]]
@@ -738,8 +739,8 @@ def localisation_presentation(q_prime: Quiver, arrow_paths: dict[str, list[str]]
         diff = prod - scalar_img
         for row in diff.entries:
             for p in row:
-                if not p.is_zero() and p not in gens:
-                    gens.append(p)
+                if not p.is_zero():
+                    gens.setdefault(p)
     return canonical, IdealGens(alg, gens)
 
 
@@ -792,7 +793,7 @@ def commutant_ideal_gens(h: AlgebraHom) -> tuple[FreeAlgebra, IdealGens]:
         return FreeMat(combined, [[combined.embed(p) for p in row] for row in mat.entries],
                        cols=mat.cols)
 
-    gens: list[FreePoly] = []
+    gens: dict[FreePoly, None] = {}  # insertion-ordered set
     images = [h.idem_images[v] for v in h.source_quiver.vertices]
     images += [h.arrow_images[a.name] for a in h.source_quiver.arrows]
     for g in images:
@@ -800,8 +801,8 @@ def commutant_ideal_gens(h: AlgebraHom) -> tuple[FreeAlgebra, IdealGens]:
         comm = V * ge - ge * V
         for row in comm.entries:
             for p in row:
-                if not p.is_zero() and p not in gens:
-                    gens.append(p)
+                if not p.is_zero():
+                    gens.setdefault(p)
     return combined, IdealGens(combined, gens)
 
 
@@ -970,7 +971,7 @@ def specialize(h: AlgebraHom, assignment: dict[str, ExactMatrix],
                    for v in q.vertices]
     u, block_ranks = idempotent_diagonalize(subst_idems)
     # a standard-layout hom needs no conjugation: u is the identity
-    conjugate = u != ExactMatrix.identity(field, u.rows)
+    conjugate = not u.is_identity()
     if conjugate:
         u_inv = solve_or_invert(u)
     dims = {v: r for v, r in zip(q.vertices, block_ranks)}
@@ -1019,24 +1020,32 @@ def _specialization_prime(h: AlgebraHom) -> int:
 
 
 def convert_hom_field(h: AlgebraHom, field) -> AlgebraHom:
-    """Coerce all coefficient scalars of h into another exact field."""
+    """Coerce all coefficient scalars of h into another exact field.
+
+    From QQ the coercion is reduction modulo p, a ring map on every
+    coefficient it accepts (it raises on a denominator divisible by p), so
+    the relations h was validated for hold in the image and are not
+    multiplied out again.  A hom from any other field is validated anew."""
     if field == h.field:
         return h
     algebra = FreeAlgebra(field, h.algebra.letters)
 
     def conv(mat: FreeMat) -> FreeMat:
-        return FreeMat(algebra,
-                       [[FreePoly(algebra, {w: field.coerce(c) for w, c in p.terms.items()
-                                            if not field.is_zero(field.coerce(c))})
-                         for p in row]
-                        for row in mat.entries],
-                       cols=mat.cols)
+        return FreeMat._of(algebra,
+                           [[FreePoly(algebra, {w: x for w, c in p.terms.items()
+                                                if not field.is_zero(x := field.coerce(c))})
+                             for p in row]
+                            for row in mat.entries],
+                           mat.cols)
 
-    return AlgebraHom(h.source_quiver, algebra, h.size,
-                      {v: conv(m) for v, m in h.idem_images.items()},
-                      {a: conv(m) for a, m in h.arrow_images.items()},
-                      letter_coords=h.letter_coords,
-                      provenance=h.provenance)
+    idem_images = {v: conv(m) for v, m in h.idem_images.items()}
+    arrow_images = {a: conv(m) for a, m in h.arrow_images.items()}
+    if h.field != QQ:
+        return AlgebraHom(h.source_quiver, algebra, h.size, idem_images, arrow_images,
+                          letter_coords=h.letter_coords, provenance=h.provenance)
+    out = copy.copy(h)
+    out.algebra, out.idem_images, out.arrow_images = algebra, idem_images, arrow_images
+    return out
 
 
 class RefutationOutcome:

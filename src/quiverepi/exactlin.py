@@ -409,7 +409,8 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, field, n: int) -> "ExactMatrix":
-        return _block_identity(field, n, 0, n)
+        z, o = field.zero(), field.one()
+        return cls._of(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def from_columns(cls, field, columns: Sequence[Sequence], rows: int) -> "ExactMatrix":
@@ -427,6 +428,9 @@ class ExactMatrix:
 
     def is_zero(self) -> bool:
         return not any(map(any, self.entries))
+
+    def is_identity(self) -> bool:
+        return self.rows == self.cols and _is_block_identity(self, 0, self.rows)
 
     def __eq__(self, other):
         return (
@@ -516,12 +520,14 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols}: {body})"
 
 
-def _block_identity(field, n: int, start: int, stop: int) -> ExactMatrix:
-    """The n x n 0/1 diagonal matrix with ones at positions start..stop-1."""
-    z, o = field.zero(), field.one()
-    return ExactMatrix._of(
-        field, [[o if i == j and start <= i < stop else z for j in range(n)] for i in range(n)], n
-    )
+def _is_block_identity(m: ExactMatrix, start: int, stop: int) -> bool:
+    """Whether the square matrix m is the 0/1 diagonal matrix with ones at
+    positions start..stop-1, read entry by entry in place."""
+    one = m.field.one()
+    for i, row in enumerate(m.entries):
+        if ((row[i] != one) if start <= i < stop else row[i]) or any(row[:i]) or any(row[i + 1:]):
+            return False
+    return True
 
 
 def rref(m: ExactMatrix) -> tuple[ExactMatrix, list[int]]:
@@ -616,7 +622,7 @@ def idempotent_diagonalize(idems: Sequence[ExactMatrix]) -> tuple[ExactMatrix, l
         stop = offset
         while stop < n and e.entries[stop][stop] == one:
             stop += 1
-        if e != _block_identity(field, n, offset, stop):
+        if not _is_block_identity(e, offset, stop):
             break
         block_ranks.append(stop - offset)
         offset = stop

@@ -381,6 +381,17 @@ class FreeMat:
         self.entries = tuple(grid)
 
     @classmethod
+    def _of(cls, algebra, entries, cols: int) -> "FreeMat":
+        """A matrix from rows of polynomials over algebra, each row of length
+        cols: no algebra check, no shape check."""
+        m = object.__new__(cls)
+        m.algebra = algebra
+        m.entries = tuple(map(tuple, entries))
+        m.rows = len(m.entries)
+        m.cols = cols
+        return m
+
+    @classmethod
     def zeros(cls, algebra, rows, cols):
         z = algebra.zero()
         return cls(algebra, [[z] * cols for _ in range(rows)], cols=cols)
@@ -439,18 +450,19 @@ class FreeMat:
             raise ShapeMismatch(
                 f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}"
             )
+        f = self.algebra.field
+        # the nonzero entries of each row of the right factor
+        sparse = [[(j, b.terms) for j, b in enumerate(row) if b.terms] for row in other.entries]
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = self.algebra.zero()
-                for k in range(self.cols):
-                    a, b = self.entries[i][k], other.entries[k][j]
-                    if a.terms and b.terms:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return FreeMat(self.algebra, out, cols=other.cols)
+        for row in self.entries:
+            acc: list[dict] = [{} for _ in range(other.cols)]
+            for a, b_row in zip(row, sparse):
+                for w1, c1 in a.terms.items():
+                    for j, b_terms in b_row:
+                        for w2, c2 in b_terms.items():
+                            _add_term(f, acc[j], w1 + w2, f.mul(c1, c2))
+            out.append([FreePoly(self.algebra, d) for d in acc])
+        return FreeMat._of(self.algebra, out, other.cols)
 
     def scale(self, p) -> "FreeMat":
         if not isinstance(p, FreePoly):
@@ -813,6 +825,57 @@ class LinearElimination:
         return _certificate(acc)
 
 
+def _overlap_free_rules(gens: IdealGens) -> dict[Word, dict] | None:
+    """The rewriting rules {lead: tail} of the generators made monic at their
+    leading words (g = c * (lead - tail)), when no leading word is empty,
+    none lies inside another (two equal ones included) and none overlaps
+    another or itself (a proper suffix of one is a proper prefix of one);
+    None otherwise.
+
+    Such rules have no ambiguities, so by Bergman's diamond lemma every
+    polynomial has one normal form under them, and it is zero exactly for
+    the elements of the ideal the generators span: they are a Groebner
+    basis for the degree-lexicographic order."""
+    f = gens.algebra.field
+    key = gens.algebra.monomial_key
+    rules: dict[Word, dict] = {}
+    for g in gens.generators:
+        lead = max(g.terms, key=key)
+        if not lead or lead in rules:
+            return None
+        inv = f.neg(f.inv(g.terms[lead]))
+        rules[lead] = {w: f.mul(inv, c) for w, c in g.terms.items() if w != lead}
+    for a in rules:
+        for b in rules:
+            if a != b and any(b[k:k + len(a)] == a for k in range(len(b) - len(a) + 1)):
+                return None
+            if any(a[-k:] == b[:k] for k in range(1, min(len(a), len(b)))):
+                return None
+    return rules
+
+
+def _rewrite(algebra: FreeAlgebra, rules: dict[Word, dict], terms: dict) -> dict:
+    """The normal form of terms under overlap-free rules: the largest word
+    still pending is rewritten at a leading word it contains, or kept."""
+    f = algebra.field
+    lengths = sorted({len(lead) for lead in rules})
+    nf: dict = {}
+    pending = dict(terms)
+    while pending:
+        w = max(pending, key=algebra.monomial_key)
+        c = pending.pop(w)
+        hit = next(((k, n) for k in range(len(w)) for n in lengths if w[k:k + n] in rules),
+                   None)
+        if hit is None:
+            nf[w] = c
+            continue
+        k, n = hit
+        left, right = w[:k], w[k + n:]
+        for t, tc in rules[w[k:k + n]].items():
+            _add_term(f, pending, left + t + right, f.mul(c, tc))
+    return nf
+
+
 def decide_memberships(gens: IdealGens, targets: list[FreePoly],
                        degree_bound: int) -> list[MembershipResult]:
     """Membership of each target in the span of the products w * g * w' of
@@ -830,15 +893,30 @@ def decide_memberships(gens: IdealGens, targets: list[FreePoly],
     is within the bound.  Certificates are lifted to the original generators
     (each residual product shifted by its words, plus the target's own
     reduction terms) and re-evaluate to the target exactly; they may differ
-    from the plain span's.  NotFoundUpTo never claims non-membership.
+    from the plain span's.
+
+    When the residual generators' leading words are overlap-free
+    (_overlap_free_rules), they are a Groebner basis of the residual ideal,
+    so an NF(t) that they rewrite to a nonzero polynomial lies in no span
+    of the ideal at any degree: t is NotFoundUpTo(bound) without a search,
+    as the span would have found.  Only the other targets go to the span,
+    whose state at each degree does not depend on the targets pending, so
+    every result is the same as without this step.  NotFoundUpTo never
+    claims non-membership.
     """
     if any(t.algebra != gens.algebra for t in targets):
         raise AlphabetMismatch("target from a different free algebra")
     elimination = LinearElimination(gens)
     forms = [elimination.normal_form(t.terms) for t in targets]
-    span = IdealSpan(elimination.residual, elimination.weights)
-    found = span.memberships([FreePoly(elimination.algebra, nf) for nf, _ in forms],
-                             degree_bound)
+    rules = _overlap_free_rules(elimination.residual)
+    searched = [i for i, (nf, _) in enumerate(forms)
+                if rules is None or not _rewrite(elimination.algebra, rules, nf)]
+    found = [MembershipResult.not_found(degree_bound) for _ in targets]
+    if searched:
+        span = IdealSpan(elimination.residual, elimination.weights)
+        residual_targets = [FreePoly(elimination.algebra, forms[i][0]) for i in searched]
+        for i, res in zip(searched, span.memberships(residual_targets, degree_bound)):
+            found[i] = res
     results = []
     for target, (_, combo), res in zip(targets, forms, found):
         degree = max(target.degree(), res.searched_degree)

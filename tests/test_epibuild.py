@@ -829,3 +829,31 @@ class TestFieldConversion:
         assert verify_epimorphism(h, 3).verdict == "Verified"
         out = specialization_refutation_test(h, trials=5, sizes=(1, 2), seed=2)
         assert out.passed
+
+    def test_reduction_mod_p_equals_a_validated_hom(self, a2_brick, kronecker,
+                                                    kron_preprojective, kron_extension_hom):
+        # reduction from QQ skips the re-validation; the result must be the
+        # hom that the validating constructor builds from the same images
+        field = GF(101)
+        for h in [build_brick_hom(a2_brick), kron_extension_hom,
+                  canonical_generic_hom(kronecker, {"1": 1, "2": 2}),
+                  glue_vertex(kron_preprojective, "2")]:
+            before = h.to_json_dict()
+            hp = convert_hom_field(h, field)
+            validated = AlgebraHom(h.source_quiver, hp.algebra, h.size, hp.idem_images,
+                                   hp.arrow_images, letter_coords=h.letter_coords,
+                                   provenance=h.provenance)
+            assert hp == validated
+            assert (hp.field, hp.letter_coords, hp.provenance) == (
+                field, h.letter_coords, h.provenance)
+            assert h.to_json_dict() == before
+
+    def test_conversion_from_a_prime_field_is_validated(self, a2):
+        # e1 = [[2, 1], [1, 2]] and e2 = I - e1 form a family mod 3, not over QQ
+        f = GF(3)
+        alg = FreeAlgebra(f, [])
+        e1 = FreeMat(alg, [[2, 1], [1, 2]], cols=2)
+        e2 = FreeMat(alg, [[2, 2], [2, 2]], cols=2)
+        h = AlgebraHom(a2, alg, 2, {"1": e1, "2": e2}, {"a": FreeMat.zeros(alg, 2, 2)})
+        with pytest.raises(InvalidHom, match="not idempotent"):
+            convert_hom_field(h, QQ)

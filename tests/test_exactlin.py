@@ -294,6 +294,33 @@ class TestStandardLayoutEarlyReturn:
         with pytest.raises(NotIdempotentFamily, match=message):
             idempotent_diagonalize(family)
 
+    @pytest.mark.parametrize("field", [QQ, GF(101)])
+    def test_off_diagonal_entries_take_general_path(self, field, general_path_calls):
+        # 0/1 diagonals in the standard layout, but with entries above and below
+        for e1, e2 in [([[1, 1], [0, 0]], [[0, -1], [0, 1]]),
+                       ([[1, 0], [1, 0]], [[0, 0], [-1, 1]])]:
+            general_path_calls.clear()
+            e1, e2 = ExactMatrix(field, e1), ExactMatrix(field, e2)
+            u, ranks = idempotent_diagonalize([e1, e2])
+            assert len(general_path_calls) == 2
+            assert ranks == [1, 1]
+            assert not u.is_identity()
+            u_inv = solve_or_invert(u)
+            assert u_inv * e1 * u == diagonal(field, 1, 0)
+            assert u_inv * e2 * u == diagonal(field, 0, 1)
+
+
+class TestIsIdentity:
+    @pytest.mark.parametrize("field", [QQ, GF(101)])
+    def test_identity_and_near_misses(self, field):
+        assert ExactMatrix.identity(field, 3).is_identity()
+        assert ExactMatrix.identity(field, 0).is_identity()
+        assert not ExactMatrix.zeros(field, 2, 2).is_identity()
+        assert not ExactMatrix.zeros(field, 1, 2).is_identity()
+        assert not ExactMatrix(field, [[1, 0], [0, 2]]).is_identity()
+        assert not ExactMatrix(field, [[1, 0], [3, 1]]).is_identity()
+        assert not ExactMatrix(field, [[1, 3], [0, 1]]).is_identity()
+
 
 class TestColumnSpace:
     def test_pivot_columns(self):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from quiverepi import freealg
 from quiverepi.exactlin import GF, QQ
 from quiverepi.freealg import (
     AlphabetMismatch,
@@ -12,11 +13,15 @@ from quiverepi.freealg import (
     CertTerm,
     FreeAlgebra,
     FreeMat,
+    FreePoly,
     IdealGens,
     IdealSpan,
     LinearElimination,
+    MembershipResult,
     PolyParseError,
     ShapeMismatch,
+    _overlap_free_rules,
+    _rewrite,
     decide_memberships,
 )
 
@@ -129,6 +134,20 @@ class TestFreeMat:
     def test_shape_mismatch(self, xy):
         with pytest.raises(ShapeMismatch):
             FreeMat.zeros(xy, 2, 3) * FreeMat.zeros(xy, 2, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_product_is_the_entrywise_sum(self, data):
+        field = data.draw(st.sampled_from([QQ, GF(7)]))
+        alg = FreeAlgebra(field, ["x", "y", "z"])
+        entry = st.dictionaries(SPAN_WORDS, st.integers(-2, 2), max_size=3).map(alg.poly)
+        n, k, m = (data.draw(st.integers(0, 3)) for _ in range(3))
+        a = FreeMat(alg, [[data.draw(entry) for _ in range(k)] for _ in range(n)], cols=k)
+        b = FreeMat(alg, [[data.draw(entry) for _ in range(m)] for _ in range(k)], cols=m)
+        want = [[sum((a.entry(i, t) * b.entry(t, j) for t in range(k)), alg.zero())
+                 for j in range(m)] for i in range(n)]
+        assert a * b == FreeMat(alg, want, cols=m)
+        assert (a * b).rows == n and (a * b).cols == m
 
     def test_substitution_into_matrices(self, xy):
         from quiverepi.exactlin import ExactMatrix
@@ -482,3 +501,160 @@ class TestLinearPreElimination:
         nf, combo = elim.normal_form((z * y).terms)
         assert nf == (x * x).terms
         assert combo == {((), 0, ("y",)): 1, ((), 1, ("y",)): 1, (("x",), 1, ()): 1}
+
+
+def plain_decide(gens, targets, degree_bound):
+    """decide_memberships without the overlap-free step: every normal form
+    goes to the residual span."""
+    elimination = LinearElimination(gens)
+    forms = [elimination.normal_form(t.terms) for t in targets]
+    span = IdealSpan(elimination.residual, elimination.weights)
+    found = span.memberships([FreePoly(elimination.algebra, nf) for nf, _ in forms],
+                             degree_bound)
+    results = []
+    for target, (_, combo), res in zip(targets, forms, found):
+        degree = max(target.degree(), res.searched_degree)
+        if res.member and degree <= degree_bound:
+            results.append(MembershipResult.found(elimination.lift(res.certificate, combo),
+                                                  degree))
+        else:
+            results.append(MembershipResult.not_found(degree_bound))
+    return results
+
+
+@st.composite
+def residual_generators(draw, algebra):
+    """1-3 generators of degree 1-3, each with a weight at least its degree:
+    a leading word plus up to two words of lower degree."""
+    letters = st.sampled_from(algebra.letters)
+    coeffs = st.sampled_from([1, -1, 2, 3])
+    gens, weights = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        degree = draw(st.integers(1, 3))
+        terms = {tuple(draw(st.lists(letters, min_size=degree, max_size=degree))):
+                 draw(coeffs)}
+        for _ in range(draw(st.integers(0, 2))):
+            low = draw(st.integers(0, degree - 1))
+            terms[tuple(draw(st.lists(letters, min_size=low, max_size=low)))] = draw(coeffs)
+        g = algebra.poly(terms)
+        assume(not g.is_zero())
+        gens.append(g)
+        weights.append(g.degree() + draw(st.integers(0, 1)))
+    return gens, weights
+
+
+class TestOverlapFreeShortcut:
+    """Targets whose normal form an overlap-free residual basis leaves
+    nonzero are settled as not found without a span search; everything
+    else is decided as before."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_settled_targets_are_never_found(self, data):
+        field = data.draw(st.sampled_from([QQ, GF(7)]))
+        alg = FreeAlgebra(field, ["x", "y", "z"][:data.draw(st.integers(2, 3))])
+        gen_list, weights = data.draw(residual_generators(alg))
+        gens = IdealGens(alg, gen_list)
+        targets = []
+        for _ in range(3):
+            g = data.draw(st.sampled_from(gen_list))
+            wl, wr = (tuple(data.draw(st.lists(st.sampled_from(alg.letters), max_size=1)))
+                      for _ in range(2))
+            target = alg.monomial(wl) * g * alg.monomial(wr)
+            if data.draw(st.booleans()):
+                stray = data.draw(st.lists(st.sampled_from(alg.letters), max_size=2))
+                target = target + alg.monomial(tuple(stray), data.draw(st.sampled_from([1, -1])))
+            targets.append(target)
+        rules = _overlap_free_rules(gens)
+        if rules is not None:
+            plain = IdealSpan(gens)
+            weighted = IdealSpan(gens, weights)
+            for t in targets:
+                if _rewrite(alg, rules, t.terms):
+                    # a proven non-member: no degree finds it, weighted or not
+                    assert not plain.memberships([t], 4)[0].member
+                    assert not weighted.memberships([t], 4)[0].member
+        bound = data.draw(st.integers(0, 4))
+        got = decide_memberships(gens, targets, bound)
+        want = plain_decide(gens, targets, bound)
+        for target, res, ref in zip(targets, got, want):
+            assert (res.member, res.searched_degree) == (ref.member, ref.searched_degree)
+            if res.member:
+                assert res.certificate.terms == ref.certificate.terms
+                assert res.certificate.evaluate(gens) == target
+
+    def test_self_overlap_refuses_the_shortcut(self, xy):
+        x, y = xy.letter("x"), xy.letter("y")
+        # the lead x.x overlaps itself; x*(x.x - y) - (x.x - y)*x = y.x - x.y
+        gens = IdealGens(xy, [x * x - y])
+        assert _overlap_free_rules(gens) is None
+        target = x * y - y * x
+        res = decide_memberships(gens, [target], 3)[0]
+        assert res.member and res.searched_degree == 3
+        assert res.certificate.evaluate(gens) == target
+
+    def test_overlap_free_rules_and_normal_form(self, xy):
+        x, y = xy.letter("x"), xy.letter("y")
+        gens = IdealGens(xy, [(x * y).scale(2) - x])
+        rules = _overlap_free_rules(gens)
+        assert rules == {("x", "y"): {("x",): Fraction(1, 2)}}
+        # x.y.y -> 1/2 x.y -> 1/4 x
+        assert _rewrite(xy, rules, (x * y * y).terms) == {("x",): Fraction(1, 4)}
+        assert _rewrite(xy, rules, (x * y - x.scale(Fraction(1, 2))).terms) == {}
+
+    def test_settled_targets_build_no_span(self, xy, monkeypatch):
+        x, y = xy.letter("x"), xy.letter("y")
+        gens = IdealGens(xy, [x * y - x])
+
+        def no_span(*args):
+            raise AssertionError("span built although every target was settled")
+
+        monkeypatch.setattr(freealg, "IdealSpan", no_span)
+        results = decide_memberships(gens, [y * x, x * x + y], 6)
+        assert [(r.member, r.searched_degree) for r in results] == [(False, 6), (False, 6)]
+
+    @pytest.mark.parametrize("gen_texts, member", [
+        # the lead x.y lies inside x.x.y.y: x.x.y.y -> x.y.y -> y.y
+        (["x.y - y", "x.x.y.y - x"], "y.y - x"),
+        # the lead x (a residual of degree 1) lies inside x.x.y
+        (["x.x.y - y", "x"], "y"),
+        # two equal leads
+        (["x.y - x", "x.y - y"], "x - y"),
+        # x.y and y.x overlap both ways: x.y.x -> y.x -> x and x.y.x -> x.x
+        (["x.y - y", "y.x - x"], "x.x - x"),
+    ])
+    def test_ambiguous_leads_refuse_the_shortcut(self, xy, gen_texts, member):
+        gens = IdealGens(xy, [xy.parse(t) for t in gen_texts])
+        assert _overlap_free_rules(gens) is None
+        targets = [xy.parse(member), xy.parse("x.y - y.x"), xy.parse("x.x.y")]
+        got = decide_memberships(gens, targets, 4)
+        assert got[0].member
+        assert got[0].certificate.evaluate(gens) == targets[0]
+        want = plain_decide(gens, targets, 4)
+        assert ([(r.member, r.searched_degree) for r in got]
+                == [(r.member, r.searched_degree) for r in want])
+
+    def test_constant_residual_generator(self, xy):
+        x, y = xy.letter("x"), xy.letter("y")
+        # x - y - 1 reduces to the constant -1 after the pivot row y - x
+        gens = IdealGens(xy, [y - x, y - x - 1])
+        elim = LinearElimination(gens)
+        assert [g.to_text() for g in elim.residual.generators] == ["-1"]
+        assert _overlap_free_rules(elim.residual) is None
+        # 1 is in the ideal at weight 1, so x.x = x * 1 * x at degree 3
+        target = x * x
+        assert not decide_memberships(gens, [target], 2)[0].member
+        res = decide_memberships(gens, [target], 3)[0]
+        assert res.member and res.searched_degree == 3
+        assert res.certificate.evaluate(gens) == target
+
+    def test_empty_residual(self, xy):
+        x, y = xy.letter("x"), xy.letter("y")
+        gens = IdealGens(xy, [x - y])
+        elim = LinearElimination(gens)
+        assert elim.residual.generators == ()
+        assert _overlap_free_rules(elim.residual) == {}
+        results = decide_memberships(gens, [x, x * y - x * x, x * y], 3)
+        assert [(r.member, r.searched_degree) for r in results] == [
+            (False, 3), (True, 2), (False, 3)]
+        assert results[1].certificate.evaluate(gens) == x * y - x * x

@@ -8,10 +8,16 @@ change meant to keep behaviour (a refactor, a merged code path) cannot
 alter a single byte of output unnoticed.  A change that means to alter a
 report re-records the digests and says why.
 
-The two non-epimorphisms (P12+S2 over A2 and the canonical A2 hom) are
-Refuted only after the span has run to the full default bound (4 and 6)
-with some elements still not found, so they pin the span's exhaustion path:
-certificates found along the way and the `not_found_up_to` entries.
+The non-epimorphisms are Refuted with some elements not found up to the
+default bound, so they pin the certificates of the elements found and the
+`not_found_up_to` entries: P12+S2 over A2 (bound 4), the canonical A2 homs
+of dimensions (1,1) (bound 6) and (2,2), and the canonical Kronecker hom of
+dimension (1,2).  In all four the residual generators left by the linear
+pre-elimination have overlap-free leading words (there are none for
+P12+S2), so every element not found is settled without a span search.  A
+search to the default bound takes about 7 s on the Kronecker hom and 22 s
+on the (2,2) A2 hom on a 2-core machine; the pinned reports are those of
+that search, recorded before the overlap-free step existed.
 
 Three `check` reports are pinned as well, all over QQ: a (4,5) Kronecker
 draw with entries in -2..2 (exceptional), a (2,3) Kronecker module with
@@ -71,6 +77,8 @@ BUILDS = {
        for case in ("i", "ii", "iii", "iv")},
     "p12_s2": ["brick", "p12_s2.rep", "--allow-non-brick"],
     "canonical_a2": ["canonical", "a2.quiver", "--dims", "1=1,2=1"],
+    "canonical_kr12": ["canonical", "kronecker.quiver", "--dims", "1=1,2=2"],
+    "canonical_a2_22": ["canonical", "a2.quiver", "--dims", "1=2,2=2"],
     "glue6": ["glue", "k23.rep", "2"],
     "glue6_degree2": ["glue", "k23.rep", "2"],
 }
@@ -79,7 +87,8 @@ BUILDS = {
 VERIFY_ARGS = {"glue6_degree2": ["--degree", "2"]}
 
 # case name -> exit code of its verify: 1 Refuted, 3 Undetermined, 0 for the rest (Verified)
-VERIFY_CODES = {"p12_s2": 1, "canonical_a2": 1, "glue6_degree2": 3}
+VERIFY_CODES = {"p12_s2": 1, "canonical_a2": 1, "canonical_kr12": 1, "canonical_a2_22": 1,
+                "glue6_degree2": 3}
 
 # case name -> SHA-256 of (build report, hom file, verify report)
 DIGESTS = {
@@ -157,6 +166,16 @@ DIGESTS = {
         "fe71998ba1c0a7b56ac966ef13fe8113eb8cefb2ae4ea4e2722e445034198d5c",
         "92971f12752b353f3d9b32c3f592e42e507bc8c895e7b637757e73239b643399",
         "ee38389e46fa31d934738f11e2c8ea246ee2705f06865ed7ac37723d4eea041f",
+    ),
+    "canonical_kr12": (
+        "4502c20c4df40abf6ad6bd02ce3e073d6d4b0474a9fe9b7927ca8c7148634172",
+        "f96bb9e5db83ca94e32560cc235991aca9d9d2a9965c2722a3b0733215a93308",
+        "de0c3b9d42a7853613b6b435aba624585a700f67f2d5cb352a2224359d27061f",
+    ),
+    "canonical_a2_22": (
+        "543b361b1bd4bf4a262ad7e44dcac31a3110f634c9b4bf08ac18f6409b15d000",
+        "777d88f843293b103239888ec12ddd3058c524fc43aaf35d822130bb9e41d1b2",
+        "e466465a6c4978bdf33170f8f4711159e07b91f8cc7ec9f23929e47eea732882",
     ),
     "kr_pre12": (
         "bf24ead902ef1830fef303f724765d3ae70e0285a73524acf59bf6049af73268",
