@@ -9,8 +9,10 @@ vertex idempotents and the arrows; well-definedness on all of kQ follows
 because those images satisfy the path-algebra relations, which the
 constructor checks exactly: the idempotent images are orthogonal
 idempotents summing to the identity, and every arrow image equals
-idem[target] * image * idem[source].  All constructions here lay vertices
-out in declared order, so idempotent images are 0/1 block identities.
+idem[target] * image * idem[source].  Every construction here is the
+canonical generic hom of its quiver and dimension vector under one letter
+substitution, so vertices are laid out in declared order and idempotent
+images are 0/1 block identities.
 
 The ideal criterion works in the free product of the target's coefficient
 algebra with k<(v_ij)>, realized as the free algebra on the disjoint union
@@ -32,6 +34,7 @@ from .exactlin import (
     idempotent_diagonalize,
     is_prime,
     nullspace_basis,
+    parse_field,
     rank,
     solve_or_invert,
 )
@@ -280,18 +283,15 @@ class AlgebraHom:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict, field=None) -> "AlgebraHom":
-        from .exactlin import parse_field
-
+    def from_json_dict(cls, data: dict) -> "AlgebraHom":
         if not isinstance(data, dict):
             raise InvalidHom("a hom file must hold a JSON object")
         if data.get("schema") != 1:
             raise InvalidHom(f"unsupported hom schema {data.get('schema')!r}")
         _check_hom_document(data)
-        f = field if field is not None else parse_field(data["field"])
         qd = data["source_quiver"]
         quiver = Quiver(qd["vertices"], [tuple(a) for a in qd["arrows"]])
-        algebra = FreeAlgebra(f, data["alphabet"])
+        algebra = FreeAlgebra(parse_field(data["field"]), data["alphabet"])
         n = data["size"]
 
         def grid(rows):
@@ -349,46 +349,20 @@ def _check_hom_document(data: dict) -> None:
     need(isinstance(data.get("provenance", ""), str), "'provenance' must be a string")
 
 
-def _standard_idem_images(algebra: FreeAlgebra, layout: BlockLayout) -> dict[str, FreeMat]:
-    n = layout.total
-    out = {}
-    for v in layout.order:
-        rng = set(layout.block_range(v))
-        out[v] = FreeMat(
-            algebra,
-            [[algebra.one() if (i == j and i in rng) else algebra.zero()
-              for j in range(n)] for i in range(n)],
-            cols=n,
-        )
-    return out
-
-
-def _place_block(algebra: FreeAlgebra, n: int, row_off: int, col_off: int,
-                 block: list[list[FreePoly]]) -> FreeMat:
-    grid = [[algebra.zero() for _ in range(n)] for _ in range(n)]
-    for i, row in enumerate(block):
-        for j, p in enumerate(row):
-            grid[row_off + i][col_off + j] = p
-    return FreeMat(algebra, grid, cols=n)
-
-
-def _scalar_arrow_images(algebra: FreeAlgebra, layout: BlockLayout,
-                         M: Representation) -> dict[str, FreeMat]:
-    """Arrow images embedding each arrow matrix at its (target, source) block."""
-    out = {}
-    for a in M.quiver.arrows:
-        phi = M.maps[a.name]
-        block = [[algebra.scalar(phi.entry(i, j)) for j in range(phi.cols)]
-                 for i in range(phi.rows)]
-        out[a.name] = _place_block(algebra, layout.total,
-                                   layout.offsets[a.target], layout.offsets[a.source],
-                                   block)
-    return out
+def _scalar_letters(M: Representation) -> dict[str, object]:
+    """The substitution sending each canonical letter x[a]_i_j of M's quiver
+    to entry (i, j) of M's matrix for a; under it the canonical generic hom
+    of (Q, dim M) becomes M's action map."""
+    return {block_letter(a.name, i + 1, j + 1): M.maps[a.name].entry(i, j)
+            for a in M.quiver.arrows
+            for i in range(M.dims[a.target]) for j in range(M.dims[a.source])}
 
 
 def build_brick_hom(M: Representation, allow_non_brick: bool = False) -> AlgebraHom:
     """The action map kQ -> M_n(k) of a module, as an AlgebraHom with empty
     alphabet; n is the total dimension and blocks follow the vertex layout.
+    It is the canonical generic hom of (Q, dim M) with every letter sent to
+    M's scalar entry.
 
     A ring epimorphism exactly when M is a brick, so non-bricks are rejected
     unless allow_non_brick is set (useful as refutation fixtures).
@@ -397,11 +371,10 @@ def build_brick_hom(M: Representation, allow_non_brick: bool = False) -> Algebra
         raise ZeroModule("cannot build a hom from the zero module")
     if not allow_non_brick and not is_brick(M):
         raise NotABrick("module is not a brick (pass allow_non_brick to build anyway)")
-    layout = M.layout()
-    algebra = FreeAlgebra(M.field, [])
-    idem = _standard_idem_images(algebra, layout)
-    arrows = _scalar_arrow_images(algebra, layout, M)
-    return AlgebraHom(M.quiver, algebra, layout.total, idem, arrows, provenance="brick")
+    hom = substitute_letters(canonical_generic_hom(M.quiver, M.dims, field=M.field),
+                             _scalar_letters(M))
+    hom.letter_coords, hom.provenance = None, "brick"
+    return hom
 
 
 def extend_add_arrows(M: Representation, q_prime: Quiver) -> AlgebraHom:
@@ -429,10 +402,8 @@ def extend_add_arrows(M: Representation, q_prime: Quiver) -> AlgebraHom:
             "but not a universal localisation",
             stacklevel=2,
         )
-    scalars = {block_letter(a.name, i + 1, j + 1): M.maps[a.name].entry(i, j)
-               for a in q.arrows
-               for i in range(M.dims[a.target]) for j in range(M.dims[a.source])}
-    hom = substitute_letters(canonical_generic_hom(q_prime, M.dims, field=M.field), scalars)
+    hom = substitute_letters(canonical_generic_hom(q_prime, M.dims, field=M.field),
+                             _scalar_letters(M))
     hom.provenance = "extend"
     return hom
 
@@ -471,7 +442,8 @@ def extend_invariant(M_prime: Representation, arrow_name: str, case: str) -> Alg
 
     with phi the induced isomorphism complement -> image and the X blocks
     fresh indeterminates per the case (i: X21 only; ii: +X11; iii: +X22;
-    iv: both).
+    iv: both): the canonical generic hom of (Q', dim M') with the other
+    arrows' letters sent to the re-coordinatized module's scalars.
     """
     if case not in ("i", "ii", "iii", "iv"):
         raise ValueError(f"case must be one of i, ii, iii, iv, got {case!r}")
@@ -524,13 +496,12 @@ def extend_invariant(M_prime: Representation, arrow_name: str, case: str) -> Alg
 
     N = Representation(q, M.dims, {a.name: rebase(a) for a in q.arrows}, field=f)
     phi_new = T_inv[e.target] * phi * T[e.source]
-    # adapted basis forces [[0, phi_blk], [0, 0]] with blocks (Im|comp) x (Ker|comp)
+    # adapted basis forces [[0, phi], [0, 0]] with blocks (Im|comp) x (Ker|comp)
     for i in range(alpha_t):
         for j in range(alpha_s):
             expect_zero = (j < k_dim) or (i >= r)
             if expect_zero and not f.is_zero(phi_new.entry(i, j)):
                 raise EpibuildError("internal: adapted basis did not block-triangularize the arrow")
-    phi_blk = [[phi_new.entry(i, k_dim + j) for j in range(r)] for i in range(r)]
 
     letters = []
     if case in ("ii", "iv"):
@@ -540,29 +511,23 @@ def extend_invariant(M_prime: Representation, arrow_name: str, case: str) -> Alg
         letters += [f"x22_{i}_{j}" for i in range(1, t_comp_dim + 1) for j in range(1, r + 1)]
     algebra = FreeAlgebra(f, letters)
 
-    layout = N.layout()
-    idem = _standard_idem_images(algebra, layout)
-    arrows = _scalar_arrow_images(algebra, layout, N)
+    def local(k, split):
+        """Block number (1 or 2) and 1-based index within it of coordinate k."""
+        return (1, k + 1) if k < split else (2, k - split + 1)
 
-    block = [[algebra.zero() for _ in range(alpha_s)] for _ in range(alpha_t)]
-    for i in range(r):
-        for j in range(r):
-            block[i][k_dim + j] = algebra.scalar(phi_blk[i][j])
-    if case in ("ii", "iv"):
-        for i in range(r):
-            for j in range(k_dim):
-                block[i][j] = algebra.letter(f"x11_{i + 1}_{j + 1}")
-    for i in range(t_comp_dim):
-        for j in range(k_dim):
-            block[r + i][j] = algebra.letter(f"x21_{i + 1}_{j + 1}")
-    if case in ("iii", "iv"):
-        for i in range(t_comp_dim):
-            for j in range(r):
-                block[r + i][k_dim + j] = algebra.letter(f"x22_{i + 1}_{j + 1}")
-    arrows[arrow_name] = _place_block(algebra, layout.total,
-                                      layout.offsets[e.target], layout.offsets[e.source],
-                                      block)
-    return AlgebraHom(q_prime, algebra, layout.total, idem, arrows, provenance="invariant")
+    # cell (i, j) of e' lies in block X_{bi bj}: its letter when the case
+    # keeps one, else phi_new's entry (phi in X12, zero in the rest)
+    assignment = _scalar_letters(N)
+    for i in range(alpha_t):
+        for j in range(alpha_s):
+            (bi, li), (bj, lj) = local(i, r), local(j, k_dim)
+            x = f"x{bi}{bj}_{li}_{lj}"
+            assignment[block_letter(arrow_name, i + 1, j + 1)] = (
+                algebra.letter(x) if x in algebra.letters else phi_new.entry(i, j))
+    hom = substitute_letters(canonical_generic_hom(q_prime, M.dims, field=f), assignment,
+                             algebra)
+    hom.letter_coords, hom.provenance = None, "invariant"
+    return hom
 
 
 _GLUE_VERTEX_BASE = "glue_v"
@@ -582,7 +547,9 @@ def glue_vertex(M: Representation, w: str) -> AlgebraHom:
     """Add a fresh vertex w' and an arrow e': w' -> w to a brick M with
     dim M_w = m > 1, giving a hom into M_{n+1}(k<x_1..x_{m-1}>): kQ embeds in
     the top-left n x n block, w' maps to e_{n+1,n+1}, and e' to the matrix
-    whose last column carries 1, x_1, ..., x_{m-1} at w's block rows."""
+    whose last column carries 1, x_1, ..., x_{m-1} at w's block rows.  It is
+    the canonical generic hom of (Q', alpha') with the old letters sent to
+    M's scalars, x[e']_1_1 to 1 and x[e']_{k+1}_1 to x_k."""
     if not is_brick(M):
         raise NotABrick("module is not a brick")
     if w not in M.quiver.vertices:
@@ -591,23 +558,22 @@ def glue_vertex(M: Representation, w: str) -> AlgebraHom:
     if m <= 1:
         raise DimensionTooSmall(f"vertex {w!r} has dimension {m}, need > 1")
     q = M.quiver
-    n = M.total_dim()
     w_prime = _fresh_name(_GLUE_VERTEX_BASE, set(q.vertices))
     e_prime = _fresh_name(_GLUE_ARROW_BASE, {a.name for a in q.arrows})
     q_prime = Quiver(list(q.vertices) + [w_prime],
                      list(q.arrows) + [(e_prime, w_prime, w)])
     dims = dict(M.dims)
     dims[w_prime] = 1
-    layout = block_layout(q_prime, dims)
-    f = M.field
     letters = [f"x{i}" for i in range(1, m)]
-    algebra = FreeAlgebra(f, letters)
-    idem = _standard_idem_images(algebra, layout)
-    arrows = _scalar_arrow_images(algebra, layout, M)
-    col = [algebra.one()] + [algebra.letter(x) for x in letters]
-    arrows[e_prime] = _place_block(algebra, layout.total, layout.offsets[w], n,
-                                   [[p] for p in col])
-    return AlgebraHom(q_prime, algebra, layout.total, idem, arrows, provenance="glue")
+    algebra = FreeAlgebra(M.field, letters)
+    assignment = _scalar_letters(M)
+    assignment[block_letter(e_prime, 1, 1)] = 1
+    for k, x in enumerate(letters, start=2):
+        assignment[block_letter(e_prime, k, 1)] = algebra.letter(x)
+    hom = substitute_letters(canonical_generic_hom(q_prime, dims, field=M.field), assignment,
+                             algebra)
+    hom.letter_coords, hom.provenance = None, "glue"
+    return hom
 
 
 def canonical_generic_hom(q: Quiver, dims: dict[str, int], field=QQ) -> AlgebraHom:
@@ -615,27 +581,24 @@ def canonical_generic_hom(q: Quiver, dims: dict[str, int], field=QQ) -> AlgebraH
     its (target, source) position and every vertex to its block identity;
     every standard-layout hom factors through it by substitution."""
     layout = block_layout(q, dims)
-    letters = []
-    coords = {}
-    for a in q.arrows:
-        for i in range(1, dims[a.target] + 1):
-            for j in range(1, dims[a.source] + 1):
-                x = block_letter(a.name, i, j)
-                letters.append(x)
-                coords[x] = (layout.offsets[a.target] + i - 1,
-                             layout.offsets[a.source] + j - 1,
-                             a.name)
-    algebra = FreeAlgebra(field, letters)
-    idem = _standard_idem_images(algebra, layout)
-    arrows = {}
-    for a in q.arrows:
-        rows, cols = dims[a.target], dims[a.source]
-        block = [[algebra.letter(block_letter(a.name, i + 1, j + 1)) for j in range(cols)]
-                 for i in range(rows)]
-        arrows[a.name] = _place_block(algebra, layout.total,
-                                      layout.offsets[a.target], layout.offsets[a.source],
-                                      block)
-    return AlgebraHom(q, algebra, layout.total, idem, arrows,
+    n = layout.total
+    coords = {block_letter(a.name, i + 1, j + 1):
+              (layout.offsets[a.target] + i, layout.offsets[a.source] + j, a.name)
+              for a in q.arrows for i in range(dims[a.target]) for j in range(dims[a.source])}
+    algebra = FreeAlgebra(field, coords)
+    zero, one = algebra.zero(), algebra.one()
+
+    def image(cells: dict[tuple[int, int], FreePoly]) -> FreeMat:
+        return FreeMat._of(algebra, [[cells.get((i, j), zero) for j in range(n)]
+                                     for i in range(n)], n)
+
+    cells: dict[str, dict] = {a.name: {} for a in q.arrows}
+    for x, (i, j, arrow) in coords.items():
+        cells[arrow][i, j] = algebra.letter(x)
+    return AlgebraHom(q, algebra, n,
+                      {v: image({(i, i): one for i in layout.block_range(v)})
+                       for v in q.vertices},
+                      {name: image(c) for name, c in cells.items()},
                       letter_coords=coords, provenance="canonical")
 
 
@@ -678,21 +641,41 @@ def substitute_letters(h: AlgebraHom, assignment: dict[str, FreePoly | object],
             subst[name] = target_algebra.embed(val) if val.algebra != target_algebra else val
         else:
             subst[name] = target_algebra.scalar(val)
-
-    def convert(mat: FreeMat) -> FreeMat:
-        return FreeMat(target_algebra,
-                       [[p.substitute(subst, target_algebra) for p in row]
-                        for row in mat.entries],
-                       cols=mat.cols)
-
     coords = None
     if h.letter_coords is not None:
-        coords = {x: c for x, c in h.letter_coords.items() if x in target_algebra.letters}
-    return AlgebraHom(h.source_quiver, target_algebra, h.size,
-                      {v: convert(m) for v, m in h.idem_images.items()},
-                      {a: convert(m) for a, m in h.arrow_images.items()},
-                      letter_coords=coords,
-                      provenance=h.provenance)
+        kept = set(target_algebra.letters)
+        coords = {x: c for x, c in h.letter_coords.items() if x in kept}
+    return _map_images(h, target_algebra, lambda p: p.substitute(subst, target_algebra),
+                       coords)
+
+
+def _map_images(h: AlgebraHom, algebra: FreeAlgebra, entry_map,
+                letter_coords: dict | None) -> AlgebraHom:
+    """h with every image entry p replaced by entry_map(p), a polynomial
+    over algebra.
+
+    entry_map is a letter substitution that carries each coefficient into
+    algebra's field.  It is a ring map when that field is h's own, or when
+    h lives over QQ and the coefficients are reduced modulo p (which raises
+    on a denominator divisible by p).  A ring map keeps the path-algebra
+    relations h was validated for, so they are not multiplied out again.
+    Carrying GF(p) residues into another field is not a ring map, so such a
+    hom is validated anew.  Zero entries map to zero without a call."""
+    zero = algebra.zero()
+
+    def convert(mat: FreeMat) -> FreeMat:
+        return FreeMat._of(algebra, [[entry_map(p) if p.terms else zero for p in row]
+                                     for row in mat.entries], mat.cols)
+
+    idem_images = {v: convert(m) for v, m in h.idem_images.items()}
+    arrow_images = {a: convert(m) for a, m in h.arrow_images.items()}
+    if h.field != QQ and algebra.field != h.field:
+        return AlgebraHom(h.source_quiver, algebra, h.size, idem_images, arrow_images,
+                          letter_coords=letter_coords, provenance=h.provenance)
+    out = copy.copy(h)
+    out.algebra, out.idem_images, out.arrow_images, out.letter_coords = (
+        algebra, idem_images, arrow_images, letter_coords)
+    return out
 
 
 def localisation_presentation(q_prime: Quiver, arrow_paths: dict[str, list[str]],
@@ -724,19 +707,16 @@ def localisation_presentation(q_prime: Quiver, arrow_paths: dict[str, list[str]]
         if q_prime.arrow(path[-1]).target != a.target:
             raise PathMismatch(f"path for {a.name!r} ends at the wrong vertex")
     canonical = canonical_generic_hom(q_prime, M.dims, field=M.field)
-    f_hom = build_brick_hom(M)
     alg = canonical.algebra
+    f_hom = substitute_letters(canonical_generic_hom(q, M.dims, field=M.field),
+                               _scalar_letters(M), alg)
     gens: dict[FreePoly, None] = {}  # insertion-ordered set
     for a in q.arrows:
         path = arrow_paths[a.name]
         prod = canonical.arrow_images[path[0]]
         for e in path[1:]:
             prod = canonical.arrow_images[e] * prod
-        scalar_img = FreeMat(alg,
-                             [[alg.scalar(p.constant_term()) for p in row]
-                              for row in f_hom.arrow_images[a.name].entries],
-                             cols=canonical.size)
-        diff = prod - scalar_img
+        diff = prod - f_hom.arrow_images[a.name]
         for row in diff.entries:
             for p in row:
                 if not p.is_zero():
@@ -753,14 +733,12 @@ class EpiReport:
     """
 
     def __init__(self, verdict: str, degree_bound: int, degree_used: int | None = None,
-                 elements=None, generator_texts=None, specialization=None, witness=None):
+                 elements=None, generator_texts=None):
         self.verdict = verdict
         self.degree_bound = degree_bound
         self.degree_used = degree_used
         self.elements = elements or []
         self.generator_texts = generator_texts or []
-        self.specialization = specialization
-        self.witness = witness
 
     def to_json_dict(self) -> dict:
         return {
@@ -770,8 +748,8 @@ class EpiReport:
             "degree_used": self.degree_used,
             "ideal_generators": list(self.generator_texts),
             "required_elements": self.elements,
-            "specialization": self.specialization,
-            "witness": self.witness,
+            "specialization": None,
+            "witness": None,
         }
 
 
@@ -1020,32 +998,16 @@ def _specialization_prime(h: AlgebraHom) -> int:
 
 
 def convert_hom_field(h: AlgebraHom, field) -> AlgebraHom:
-    """Coerce all coefficient scalars of h into another exact field.
-
-    From QQ the coercion is reduction modulo p, a ring map on every
-    coefficient it accepts (it raises on a denominator divisible by p), so
-    the relations h was validated for hold in the image and are not
-    multiplied out again.  A hom from any other field is validated anew."""
+    """Coerce all coefficient scalars of h into another exact field; see
+    _map_images for when the result is validated again."""
     if field == h.field:
         return h
     algebra = FreeAlgebra(field, h.algebra.letters)
-
-    def conv(mat: FreeMat) -> FreeMat:
-        return FreeMat._of(algebra,
-                           [[FreePoly(algebra, {w: x for w, c in p.terms.items()
-                                                if not field.is_zero(x := field.coerce(c))})
-                             for p in row]
-                            for row in mat.entries],
-                           mat.cols)
-
-    idem_images = {v: conv(m) for v, m in h.idem_images.items()}
-    arrow_images = {a: conv(m) for a, m in h.arrow_images.items()}
-    if h.field != QQ:
-        return AlgebraHom(h.source_quiver, algebra, h.size, idem_images, arrow_images,
-                          letter_coords=h.letter_coords, provenance=h.provenance)
-    out = copy.copy(h)
-    out.algebra, out.idem_images, out.arrow_images = algebra, idem_images, arrow_images
-    return out
+    return _map_images(
+        h, algebra,
+        lambda p: FreePoly(algebra, {w: x for w, c in p.terms.items()
+                                     if not field.is_zero(x := field.coerce(c))}),
+        h.letter_coords)
 
 
 class RefutationOutcome:

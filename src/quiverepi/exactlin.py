@@ -21,9 +21,8 @@ d_s + d_t nonzeros.  GF(p) ranks them by an incremental sparse echelon,
 reducing each row by the pivot rows kept so far until it vanishes or leads
 a new column.  QQ builds dense integer rows from the dicts and runs the
 forward half of its fraction-free elimination, which forms no Fraction at
-all; dict rows lose to fill-in there.  rank(m) calls Field.dense_rank,
-which over QQ runs that pass on the matrix's own rows and over GF(p)
-hands their nonzero entries to Field.rank.  Everything is exact: no
+all; dict rows lose to fill-in there.  rank(m) hands the matrix's nonzero
+entries to Field.rank as sparse rows.  Everything is exact: no
 floats, no pivoting heuristics.  The elimination pivot rule is fixed
 (first nonzero entry scanning rows top to bottom, columns left to right)
 so every result is deterministic.
@@ -192,10 +191,6 @@ class RationalField:
             a.append(dense)
         return len(self._echelon(a, cols, False)[2])
 
-    def dense_rank(self, rows, cols: int) -> int:
-        """Row rank of dense rows, by the same forward-only pass."""
-        return len(self._echelon([_integer_row(row) for row in rows], cols, False)[2])
-
     def to_str(self, a):
         return str(a)
 
@@ -330,10 +325,6 @@ class PrimeField:
                 for j, y in tail.items():
                     row[j] = (get(j, 0) - q * y) % p
         return len(pivots)
-
-    def dense_rank(self, rows, cols: int) -> int:
-        """Row rank of dense rows, by rank on their nonzero entries."""
-        return self.rank([{j: x for j, x in enumerate(row) if x} for row in rows], cols)
 
     def to_str(self, a):
         return str(a % self.p)
@@ -538,8 +529,8 @@ def rref(m: ExactMatrix) -> tuple[ExactMatrix, list[int]]:
 
 
 def rank(m: ExactMatrix) -> int:
-    """Row rank, by the field's forward elimination (no RREF)."""
-    return m.field.dense_rank(m.entries, m.cols)
+    """Row rank, by the field's sparse-row rank (no RREF)."""
+    return m.field.rank([{j: x for j, x in enumerate(row) if x} for row in m.entries], m.cols)
 
 
 def nullspace_basis(m: ExactMatrix) -> list[ExactMatrix]:

@@ -290,10 +290,11 @@ class FreePoly:
     def substitute(self, assignment: dict[str, "FreePoly"], target: FreeAlgebra) -> "FreePoly":
         """Image under the algebra map sending each letter to its assignment.
 
-        Unassigned letters map to the target letter of the same name.
+        Unassigned letters map to the target letter of the same name.  Only
+        the letters that occur in this polynomial's words are looked up.
         """
         images = {}
-        for name in self.algebra.letters:
+        for name in dict.fromkeys(x for w in self.terms for x in w):
             if name in assignment:
                 img = assignment[name]
                 if img.algebra != target:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Sequence
 
-from .exactlin import QQ, ExactMatrix, nullspace_basis, column_space_basis, rank
+from .exactlin import QQ, ExactMatrix, nullspace_basis, column_space_basis, rank, rref
 from .quiver import BlockLayout, Quiver, block_layout, check_dims, parse_quiver
 
 
@@ -278,26 +278,19 @@ def kernel_image(M: Representation, arrow_name: str) -> tuple[Subspace, Subspace
 
 
 def complement(sub: Subspace, ambient_dim: int) -> Subspace:
-    """Deterministic direct complement by greedy standard-vector extension."""
+    """Deterministic direct complement by greedy standard-vector extension:
+    the unit vectors that are pivot columns of rref([basis | I]), which are
+    exactly those that raise the rank when added in order."""
     if sub.dim() > ambient_dim or sub.ambient_dim != ambient_dim:
         raise DimensionExceeded(
             f"subspace of dimension {sub.dim()} in ambient {sub.ambient_dim} "
             f"does not fit dimension {ambient_dim}"
         )
-    f = sub.field
-    cols = [v.column(0) for v in sub.basis]
-    current_rank = len(cols)
-    chosen = []
-    for i in range(ambient_dim):
-        e_i = [f.one() if k == i else f.zero() for k in range(ambient_dim)]
-        candidate = ExactMatrix.from_columns(f, cols + [e_i], ambient_dim)
-        if rank(candidate) > current_rank:
-            cols.append(e_i)
-            current_rank += 1
-            chosen.append(ExactMatrix(f, [[x] for x in e_i], cols=1))
-        if current_rank == ambient_dim:
-            break
-    return Subspace(sub.vertex, chosen, ambient_dim, field=f)
+    d = sub.dim()
+    eye = ExactMatrix.identity(sub.field, ambient_dim)
+    _, pivots = rref(sub.matrix().hstack(eye))
+    chosen = [eye.submatrix(range(ambient_dim), [c - d]) for c in pivots if c >= d]
+    return Subspace(sub.vertex, chosen, ambient_dim, field=sub.field)
 
 
 def find_end_invariance_violation(M: Representation, sub: Subspace):

@@ -354,6 +354,81 @@ class TestCanonicalAndFactor:
             factor_through_canonical(twisted)
 
 
+@pytest.fixture(scope="module")
+def construction_outputs(a2_brick, kronecker, kron_preprojective, kron_extension_hom):
+    """(provenance, hom) for one or more outputs of every construction."""
+    rank_one = Representation(
+        parse_quiver("vertices 1 2 3\narrow a 1 2\narrow b 1 2\narrow e 2 3\n"),
+        {"1": 1, "2": 2, "3": 1}, {"a": [[1], [0]], "b": [[0], [1]], "e": [[0, 1]]})
+    cokernel = Representation(
+        parse_quiver("vertices 1 2 3\narrow a 1 2\narrow b 1 2\narrow c 1 3\n"
+                     "arrow d 1 3\narrow e 2 3\n"),
+        {"1": 1, "2": 2, "3": 2},
+        {"a": [[1], [0]], "b": [[0], [1]], "c": [[1], [0]], "d": [[0], [1]],
+         "e": [[1, 0], [0, 0]]})
+    pre23 = Representation(kronecker, {"1": 2, "2": 3}, {
+        "a": [[1, 0], [0, 1], [0, 0]], "b": [[0, 0], [1, 0], [0, 1]]})
+    brick_gf5 = Representation(a2_brick.quiver, {"1": 1, "2": 1}, {"a": [[3]]}, field=GF(5))
+    return [
+        ("brick", build_brick_hom(a2_brick)),
+        ("brick", build_brick_hom(pre23)),
+        ("brick", build_brick_hom(brick_gf5)),
+        ("extend", kron_extension_hom),
+        ("extend", extend_add_arrows(brick_gf5, kronecker)),
+        ("invariant", extend_invariant(rank_one, "e", "iv")),
+        ("invariant", extend_invariant(cokernel, "e", "i")),
+        ("glue", glue_vertex(kron_preprojective, "2")),
+        ("glue", glue_vertex(pre23, "2")),
+        ("canonical", canonical_generic_hom(kronecker, {"1": 2, "2": 3})),
+    ]
+
+
+class TestConstructionsFromCanonical:
+    """Every construction is the canonical generic hom under a substitution,
+    and the substitution skips re-validation only when it is a ring map."""
+
+    def test_outputs_validate(self, construction_outputs):
+        for provenance, h in construction_outputs:
+            assert h.provenance == provenance
+            h._validate()
+
+    def test_factor_through_canonical_round_trips(self, construction_outputs):
+        for _, h in construction_outputs:
+            assignment = factor_through_canonical(h)
+            canonical = canonical_generic_hom(h.source_quiver, h.standard_dims(),
+                                              field=h.field)
+            assert substitute_letters(canonical, assignment, h.algebra) == h
+
+    def test_letter_coords_only_for_full_blocks(self, construction_outputs):
+        for provenance, h in construction_outputs:
+            if provenance in ("brick", "glue", "invariant"):
+                assert h.letter_coords is None
+                assert h.to_json_dict()["letter_coords"] is None
+            else:
+                assert set(h.letter_coords) == set(h.algebra.letters)
+
+    def test_substitution_from_a_prime_field_into_qq_is_validated(self, a2):
+        # e1 = [[2, 1], [1, 2]] and e2 = I - e1 form a family mod 3, not over QQ
+        alg = FreeAlgebra(GF(3), [])
+        e1 = FreeMat(alg, [[2, 1], [1, 2]], cols=2)
+        e2 = FreeMat(alg, [[2, 2], [2, 2]], cols=2)
+        h = AlgebraHom(a2, alg, 2, {"1": e1, "2": e2}, {"a": FreeMat.zeros(alg, 2, 2)})
+        with pytest.raises(InvalidHom, match="not idempotent"):
+            substitute_letters(h, {}, FreeAlgebra(QQ, []))
+
+    def test_poly_substitute_looks_up_only_its_letters(self):
+        alg = FreeAlgebra(QQ, ["x", "y"])
+        target = FreeAlgebra(QQ, ["x"])
+        elsewhere = FreeAlgebra(QQ, ["z"]).letter("z")
+        p = alg.letter("x") * alg.letter("x") + 2
+        # y is neither in the target nor assigned within it, and p never uses it
+        assert p.substitute({"y": elsewhere}, target) == target.parse("x.x + 2")
+        with pytest.raises(freealg.AlphabetMismatch):
+            p.substitute({"x": elsewhere}, target)
+        with pytest.raises(freealg.AlphabetMismatch):
+            alg.letter("y").substitute({}, target)
+
+
 class TestPresentation:
     def test_kronecker_from_sub_a2(self, kronecker, a2_brick, kron_extension_hom):
         h, gens = localisation_presentation(kronecker, {"a": ["a"]}, a2_brick)

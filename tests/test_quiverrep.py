@@ -6,7 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quiverepi.exactlin import GF, QQ, ExactMatrix
+from quiverepi.exactlin import GF, QQ, ExactMatrix, rank
 from quiverepi.quiver import Quiver, parse_quiver
 from quiverepi.quiverrep import (
     DimensionExceeded,
@@ -293,8 +293,15 @@ class TestKernelImageComplement:
             assert sub.dim() + comp.dim() == n
             cols = [v.column(0) for v in sub.basis] + [v.column(0) for v in comp.basis]
             if cols:
-                from quiverepi.exactlin import rank
                 assert rank(ExactMatrix.from_columns(QQ, cols, n)) == n
+            # the greedy reference: each unit vector that raises the rank, in order
+            greedy, cols = [], [v.column(0) for v in sub.basis]
+            for i in range(n):
+                e_i = [Fraction(int(k == i)) for k in range(n)]
+                if rank(ExactMatrix.from_columns(QQ, cols + [e_i], n)) > len(cols):
+                    cols.append(e_i)
+                    greedy.append(e_i)
+            assert [v.column(0) for v in comp.basis] == greedy
 
     def test_dimension_exceeded(self):
         sub = Subspace("1", [qq([[1], [0]])], 2)
