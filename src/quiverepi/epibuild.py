@@ -23,7 +23,6 @@ generators propagates to products because [V, ab] = [V, a] b + a [V, b].
 
 from __future__ import annotations
 
-import copy
 import warnings
 from functools import reduce
 
@@ -160,6 +159,18 @@ class AlgebraHom:
         self.provenance = provenance
         self._validate()
 
+    @classmethod
+    def _of(cls, source_quiver: Quiver, algebra: FreeAlgebra, size: int,
+            idem_images: dict[str, FreeMat], arrow_images: dict[str, FreeMat],
+            letter_coords: dict | None, provenance: str) -> "AlgebraHom":
+        """A hom from images that satisfy the path-algebra relations by
+        construction: the dicts are taken as they are, with no validation."""
+        h = object.__new__(cls)
+        h.source_quiver, h.algebra, h.size = source_quiver, algebra, size
+        h.idem_images, h.arrow_images = idem_images, arrow_images
+        h.letter_coords, h.provenance = letter_coords, provenance
+        return h
+
     def _validate(self):
         n = self.size
         for v in self.source_quiver.vertices:
@@ -293,9 +304,11 @@ class AlgebraHom:
         quiver = Quiver(qd["vertices"], [tuple(a) for a in qd["arrows"]])
         algebra = FreeAlgebra(parse_field(data["field"]), data["alphabet"])
         n = data["size"]
+        zero = algebra.zero()
 
         def grid(rows):
-            return FreeMat(algebra, [[algebra.parse(t) for t in row] for row in rows], cols=n)
+            return FreeMat(algebra, [[zero if t == "0" else algebra.parse(t) for t in row]
+                                     for row in rows], cols=n)
 
         idem = {v: grid(data["idem_images"][v]) for v in quiver.vertices}
         arrows = {a.name: grid(data["arrow_images"][a.name]) for a in quiver.arrows}
@@ -595,11 +608,11 @@ def canonical_generic_hom(q: Quiver, dims: dict[str, int], field=QQ) -> AlgebraH
     cells: dict[str, dict] = {a.name: {} for a in q.arrows}
     for x, (i, j, arrow) in coords.items():
         cells[arrow][i, j] = algebra.letter(x)
-    return AlgebraHom(q, algebra, n,
-                      {v: image({(i, i): one for i in layout.block_range(v)})
-                       for v in q.vertices},
-                      {name: image(c) for name, c in cells.items()},
-                      letter_coords=coords, provenance="canonical")
+    return AlgebraHom._of(q, algebra, n,
+                          {v: image({(i, i): one for i in layout.block_range(v)})
+                           for v in q.vertices},
+                          {name: image(c) for name, c in cells.items()},
+                          coords, "canonical")
 
 
 def factor_through_canonical(h: AlgebraHom) -> dict[str, FreePoly]:
@@ -672,10 +685,8 @@ def _map_images(h: AlgebraHom, algebra: FreeAlgebra, entry_map,
     if h.field != QQ and algebra.field != h.field:
         return AlgebraHom(h.source_quiver, algebra, h.size, idem_images, arrow_images,
                           letter_coords=letter_coords, provenance=h.provenance)
-    out = copy.copy(h)
-    out.algebra, out.idem_images, out.arrow_images, out.letter_coords = (
-        algebra, idem_images, arrow_images, letter_coords)
-    return out
+    return AlgebraHom._of(h.source_quiver, algebra, h.size, idem_images, arrow_images,
+                          letter_coords, h.provenance)
 
 
 def localisation_presentation(q_prime: Quiver, arrow_paths: dict[str, list[str]],

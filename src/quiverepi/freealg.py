@@ -216,11 +216,7 @@ class FreePoly:
         f = self.algebra.field
         out = dict(self.terms)
         for w, c in other.terms.items():
-            s = f.add(out.get(w, f.zero()), c)
-            if f.is_zero(s):
-                out.pop(w, None)
-            else:
-                out[w] = s
+            _add_term(f, out, w, c)
         return FreePoly(self.algebra, out)
 
     __radd__ = __add__
@@ -241,12 +237,7 @@ class FreePoly:
         out: dict[Word, object] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                w = w1 + w2
-                s = f.add(out.get(w, f.zero()), f.mul(c1, c2))
-                if f.is_zero(s):
-                    out.pop(w, None)
-                else:
-                    out[w] = s
+                _add_term(f, out, w1 + w2, f.mul(c1, c2))
         return FreePoly(self.algebra, out)
 
     def __rmul__(self, other):
@@ -649,19 +640,11 @@ class IdealSpan:
             row = self._rows.get(lead)
             if row is None:
                 return lead, terms, combo
-            c = terms[lead]
+            c = f.neg(terms[lead])
             row_terms, row_combo = row
             for acc, items in ((terms, row_terms.items()), (combo, row_combo.items())):
                 for k, rc in items:
-                    m = f.mul(c, rc)
-                    if k in acc:
-                        s = f.sub(acc[k], m)
-                        if f.is_zero(s):
-                            del acc[k]
-                        else:
-                            acc[k] = s
-                    else:
-                        acc[k] = f.neg(m)
+                    _add_term(f, acc, k, f.mul(c, rc))
         return None, terms, combo
 
     def try_reduce_to_zero(self, target: FreePoly) -> Certificate | None:
@@ -721,20 +704,35 @@ def _add_term(f, acc: dict, key, c):
         acc[key] = s
 
 
+def _shift_add(f, acc: dict, combo: dict, left: Word, right: Word, c):
+    """acc += c * left * combo * right: every product (wl, gi, wr) of the
+    combination combo becomes (left + wl, gi, wr + right)."""
+    for (wl, gi, wr), rc in combo.items():
+        _add_term(f, acc, (left + wl, gi, wr + right), f.mul(c, rc))
+
+
+def _rule(f, terms: dict, lead: Word, combo: dict) -> tuple[dict, dict]:
+    """The rule lead -> (tail, combination) of _rewrite that says terms ==
+    sum(combo * products), made monic at its word lead."""
+    inv = f.inv(terms[lead])
+    neg_inv = f.neg(inv)
+    return ({w: f.mul(neg_inv, c) for w, c in terms.items() if w != lead},
+            {k: f.mul(inv, c) for k, c in combo.items()})
+
+
 class LinearElimination:
     """Pre-elimination of an ideal's generators of degree at most 1.
 
     The generators of degree <= 1 are taken in index order.  Each is reduced
-    by the rows so far, every occurrence of a pivot letter rewritten, and
-    stored monic under its leading letter (its pivot), with the combination
-    of generator products that produced it, like IdealSpan's rows: terms ==
+    by the rules so far and made monic at its leading letter (its pivot),
+    which gives the rule pivot -> (tail, combo) of _rewrite: pivot == tail +
     sum(combo * products).  One that reduces to zero is dropped; one that
     reduces to a nonzero constant joins the residual generators.  A new
-    pivot is also rewritten in the earlier rows, so no row holds another
-    row's pivot and a word's rewriting takes one step per pivot letter.
+    pivot is also rewritten in the earlier rules' tails, so no tail holds a
+    pivot and a word's rewriting takes one step per pivot letter.
 
-    Rewriting by these rows (normal_form) is the algebra map sending each
-    pivot letter to its normal form.  It kills every row, and no two pivots
+    Rewriting by these rules (normal_form) is the algebra map sending each
+    pivot letter to its normal form.  It kills every rule, and no two pivots
     overlap, so the normal form is unique; rewriting the leftmost pivot
     first also fixes the combination.  The residual generators are the
     nonzero normal forms of the generators of degree >= 2 and the constant
@@ -747,7 +745,7 @@ class LinearElimination:
         algebra = gens.algebra
         f = algebra.field
         one = f.one()
-        self._rows: dict[str, tuple[dict, dict]] = {}
+        self.rules: dict[Word, tuple[dict, dict]] = {}
         residual = []  # (generator index, normal form, lift)
 
         def lift_of(gi, combo):
@@ -767,25 +765,21 @@ class LinearElimination:
             if not lead:
                 residual.append((gi, terms, lift))
                 continue
-            inv = f.inv(terms[lead])
-            row = ({w: f.mul(inv, c) for w, c in terms.items()},
-                   {k: f.mul(inv, c) for k, c in lift.items()})
-            for earlier_terms, earlier_combo in self._rows.values():
-                c = earlier_terms.pop(lead, None)
+            tail, rule_combo = _rule(f, terms, lead, lift)
+            for earlier_tail, earlier_combo in self.rules.values():
+                c = earlier_tail.pop(lead, None)
                 if c is not None:
-                    for w, rc in row[0].items():
-                        if w != lead:
-                            _add_term(f, earlier_terms, w, f.neg(f.mul(c, rc)))
-                    for k, rc in row[1].items():
-                        _add_term(f, earlier_combo, k, f.neg(f.mul(c, rc)))
-            self._rows[lead[0]] = row
+                    for w, tc in tail.items():
+                        _add_term(f, earlier_tail, w, f.mul(c, tc))
+                    _shift_add(f, earlier_combo, rule_combo, (), (), c)
+            self.rules[lead] = (tail, rule_combo)
         for gi, g in enumerate(gens.generators):
             if g.degree() > 1:
                 terms, combo = self.normal_form(g.terms)
                 if terms:
                     residual.append((gi, terms, lift_of(gi, combo)))
         residual.sort(key=lambda item: item[0])
-        self.algebra = FreeAlgebra(f, [x for x in algebra.letters if x not in self._rows])
+        self.algebra = FreeAlgebra(f, [x for x in algebra.letters if (x,) not in self.rules])
         self.residual = IdealGens(self.algebra, [FreePoly(self.algebra, terms)
                                                  for _, terms, _ in residual])
         self.weights = [gens.generators[gi].degree() for gi, _, _ in residual]
@@ -794,26 +788,7 @@ class LinearElimination:
     def normal_form(self, terms: dict) -> tuple[dict, dict]:
         """(nf, combo) with terms == nf + sum(combo * products) and no pivot
         letter in nf, rewriting the leftmost pivot of each word first."""
-        f = self.gens.algebra.field
-        rows = self._rows
-        nf: dict = {}
-        combo: dict = {}
-        pending = list(terms.items())
-        while pending:
-            w, c = pending.pop()
-            k = next((k for k, x in enumerate(w) if x in rows), None)
-            if k is None:
-                _add_term(f, nf, w, c)
-                continue
-            left, right = w[:k], w[k + 1:]
-            row_terms, row_combo = rows[w[k]]
-            # c*w = c*left*row*right - c*left*(row - pivot)*right
-            for t, rc in row_terms.items():
-                if t != (w[k],):
-                    pending.append((left + t + right, f.neg(f.mul(c, rc))))
-            for (wl, gi, wr), rc in row_combo.items():
-                _add_term(f, combo, (left + wl, gi, wr + right), f.mul(c, rc))
-        return nf, combo
+        return _rewrite(self.gens.algebra, self.rules, terms)
 
     def lift(self, certificate: Certificate, combo: dict) -> Certificate:
         """A certificate over the original generators for the target with
@@ -821,17 +796,16 @@ class LinearElimination:
         f = self.gens.algebra.field
         acc = dict(combo)
         for t in certificate.terms:
-            for (wl, gi, wr), c in self._lifts[t.gen_index].items():
-                _add_term(f, acc, (t.left + wl, gi, wr + t.right), f.mul(t.coeff, c))
+            _shift_add(f, acc, self._lifts[t.gen_index], t.left, t.right, t.coeff)
         return _certificate(acc)
 
 
-def _overlap_free_rules(gens: IdealGens) -> dict[Word, dict] | None:
-    """The rewriting rules {lead: tail} of the generators made monic at their
-    leading words (g = c * (lead - tail)), when no leading word is empty,
-    none lies inside another (two equal ones included) and none overlaps
-    another or itself (a proper suffix of one is a proper prefix of one);
-    None otherwise.
+def _overlap_free_rules(gens: IdealGens) -> dict[Word, tuple[dict, dict]] | None:
+    """The rules lead -> (tail, combo) of _rewrite for the generators made
+    monic at their leading words (g_i = c * (lead - tail), so combo is
+    {((), i, ()): 1/c}), when no leading word is empty, none lies inside
+    another (two equal ones included) and none overlaps another or itself
+    (a proper suffix of one is a proper prefix of one); None otherwise.
 
     Such rules have no ambiguities, so by Bergman's diamond lemma every
     polynomial has one normal form under them, and it is zero exactly for
@@ -839,13 +813,12 @@ def _overlap_free_rules(gens: IdealGens) -> dict[Word, dict] | None:
     basis for the degree-lexicographic order."""
     f = gens.algebra.field
     key = gens.algebra.monomial_key
-    rules: dict[Word, dict] = {}
-    for g in gens.generators:
+    rules: dict[Word, tuple[dict, dict]] = {}
+    for gi, g in enumerate(gens.generators):
         lead = max(g.terms, key=key)
         if not lead or lead in rules:
             return None
-        inv = f.neg(f.inv(g.terms[lead]))
-        rules[lead] = {w: f.mul(inv, c) for w, c in g.terms.items() if w != lead}
+        rules[lead] = _rule(f, g.terms, lead, {((), gi, ()): f.one()})
     for a in rules:
         for b in rules:
             if a != b and any(b[k:k + len(a)] == a for k in range(len(b) - len(a) + 1)):
@@ -855,12 +828,19 @@ def _overlap_free_rules(gens: IdealGens) -> dict[Word, dict] | None:
     return rules
 
 
-def _rewrite(algebra: FreeAlgebra, rules: dict[Word, dict], terms: dict) -> dict:
-    """The normal form of terms under overlap-free rules: the largest word
-    still pending is rewritten at a leading word it contains, or kept."""
+def _rewrite(algebra: FreeAlgebra, rules: dict[Word, tuple[dict, dict]],
+             terms: dict) -> tuple[dict, dict]:
+    """(nf, combo) with terms == nf + sum(combo * products), rewriting by
+    rules lead -> (tail, combo), each meaning lead == tail + sum(combo *
+    products), whose tails hold only words below their leads.
+
+    The largest word still pending is rewritten at the leftmost leading word
+    it contains, or kept in nf when it contains none.  Each word is thus
+    rewritten one fixed way, and nf and combo are linear in terms."""
     f = algebra.field
     lengths = sorted({len(lead) for lead in rules})
     nf: dict = {}
+    combo: dict = {}
     pending = dict(terms)
     while pending:
         w = max(pending, key=algebra.monomial_key)
@@ -872,9 +852,11 @@ def _rewrite(algebra: FreeAlgebra, rules: dict[Word, dict], terms: dict) -> dict
             continue
         k, n = hit
         left, right = w[:k], w[k + n:]
-        for t, tc in rules[w[k:k + n]].items():
+        tail, rule_combo = rules[w[k:k + n]]
+        for t, tc in tail.items():
             _add_term(f, pending, left + t + right, f.mul(c, tc))
-    return nf
+        _shift_add(f, combo, rule_combo, left, right, c)
+    return nf, combo
 
 
 def decide_memberships(gens: IdealGens, targets: list[FreePoly],
@@ -911,7 +893,7 @@ def decide_memberships(gens: IdealGens, targets: list[FreePoly],
     forms = [elimination.normal_form(t.terms) for t in targets]
     rules = _overlap_free_rules(elimination.residual)
     searched = [i for i, (nf, _) in enumerate(forms)
-                if rules is None or not _rewrite(elimination.algebra, rules, nf)]
+                if rules is None or not _rewrite(elimination.algebra, rules, nf)[0]]
     found = [MembershipResult.not_found(degree_bound) for _ in targets]
     if searched:
         span = IdealSpan(elimination.residual, elimination.weights)

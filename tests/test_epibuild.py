@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -355,7 +356,7 @@ class TestCanonicalAndFactor:
 
 
 @pytest.fixture(scope="module")
-def construction_outputs(a2_brick, kronecker, kron_preprojective, kron_extension_hom):
+def construction_outputs(a2, a3, a2_brick, kronecker, kron_preprojective, kron_extension_hom):
     """(provenance, hom) for one or more outputs of every construction."""
     rank_one = Representation(
         parse_quiver("vertices 1 2 3\narrow a 1 2\narrow b 1 2\narrow e 2 3\n"),
@@ -369,7 +370,20 @@ def construction_outputs(a2_brick, kronecker, kron_preprojective, kron_extension
     pre23 = Representation(kronecker, {"1": 2, "2": 3}, {
         "a": [[1, 0], [0, 1], [0, 0]], "b": [[0, 0], [1, 0], [0, 1]]})
     brick_gf5 = Representation(a2_brick.quiver, {"1": 1, "2": 1}, {"a": [[3]]}, field=GF(5))
+    # the bricks and the invariant-subspace module of the benchmark's catalogue
+    catalogue_bricks = [Representation(a2, dict(zip("12", d))) for d in ((1, 0), (0, 1))]
+    catalogue_bricks += [Representation(a3, dict(zip("123", d)))
+                         for d in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    catalogue_bricks += [
+        Representation(a3, {"1": 1, "2": 1, "3": 0}, {"a": [[1]]}),
+        Representation(a3, {"1": 0, "2": 1, "3": 1}, {"b": [[1]]}),
+        Representation(a3, {"1": 1, "2": 1, "3": 1}, {"a": [[1]], "b": [[1]]}),
+        kron_preprojective,
+    ]
+    kr_reg = Representation(kronecker, {"1": 1, "2": 1}, {"a": [[1]]})
     return [
+        *(("brick", build_brick_hom(m)) for m in catalogue_bricks),
+        *(("invariant", extend_invariant(kr_reg, "b", case)) for case in ("i", "ii", "iii", "iv")),
         ("brick", build_brick_hom(a2_brick)),
         ("brick", build_brick_hom(pre23)),
         ("brick", build_brick_hom(brick_gf5)),
@@ -391,6 +405,19 @@ class TestConstructionsFromCanonical:
         for provenance, h in construction_outputs:
             assert h.provenance == provenance
             h._validate()
+
+    @pytest.mark.parametrize("quiver_text", [
+        "vertices 1 2\narrow a 1 2\n",
+        "vertices 1 2 3\narrow a 1 2\narrow b 2 3\n",
+        "vertices 1 2\narrow a 1 2\narrow b 1 2\n",
+        "vertices 1 2\narrow a 1 2\narrow b 1 2\narrow c 1 2\n",
+    ], ids=["A2", "A3", "Kronecker", "3-Kronecker"])
+    def test_canonical_homs_validate(self, quiver_text):
+        # canonical_generic_hom skips validation: its images must satisfy
+        # the relations by construction
+        q = parse_quiver(quiver_text)
+        for dims in itertools.product((0, 1, 2), repeat=len(q.vertices)):
+            canonical_generic_hom(q, dict(zip(q.vertices, dims)))._validate()
 
     def test_factor_through_canonical_round_trips(self, construction_outputs):
         for _, h in construction_outputs:
@@ -564,7 +591,7 @@ class TestVerifyEpimorphism:
 
             def __init__(self, gens):
                 super().__init__(gens)
-                for _, combo in self._rows.values():
+                for _, combo in self.rules.values():
                     for k in combo:
                         combo[k] = combo[k] * 2
 

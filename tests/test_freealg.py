@@ -496,11 +496,67 @@ class TestLinearPreElimination:
         gens = IdealGens(alg, [z - y, y - x])
         elim = LinearElimination(gens)
         # z - y, then y - x: the row of z becomes z - x = g0 + g1
-        assert elim._rows["z"] == ({("z",): 1, ("x",): -1},
-                                   {((), 0, ()): 1, ((), 1, ()): 1})
+        assert elim.rules[("z",)] == ({("x",): 1}, {((), 0, ()): 1, ((), 1, ()): 1})
         nf, combo = elim.normal_form((z * y).terms)
         assert nf == (x * x).terms
         assert combo == {((), 0, ("y",)): 1, ((), 1, ("y",)): 1, (("x",), 1, ()): 1}
+
+
+def reference_normal_form(elim, terms):
+    """A reference for LinearElimination.normal_form: a stack loop that pops
+    pending terms last in, first out, rewrites each word at its leftmost
+    pivot and never merges equal words."""
+    f = elim.gens.algebra.field
+    nf, combo = {}, {}
+    pending = list(terms.items())
+    while pending:
+        w, c = pending.pop()
+        k = next((k for k, x in enumerate(w) if (x,) in elim.rules), None)
+        if k is None:
+            freealg._add_term(f, nf, w, c)
+            continue
+        left, right = w[:k], w[k + 1:]
+        tail, rule_combo = elim.rules[w[k:k + 1]]
+        # c*w = c*left*tail*right + c*left*(pivot - tail)*right
+        for t, tc in tail.items():
+            pending.append((left + t + right, f.mul(c, tc)))
+        for (wl, gi, wr), rc in rule_combo.items():
+            freealg._add_term(f, combo, (left + wl, gi, wr + right), f.mul(c, rc))
+    return nf, combo
+
+
+class TestOneRewritingLoop:
+    """LinearElimination.normal_form and the overlap-free residual rules go
+    through the one rewriting loop _rewrite."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_linear_normal_form_matches_stack_loop(self, data):
+        field = data.draw(st.sampled_from([QQ, GF(101)]))
+        alg = FreeAlgebra(field, ["x", "y", "z"])
+        elim = LinearElimination(IdealGens(alg, data.draw(mixed_generators(alg))))
+        polys = [random_poly(alg, random.Random(data.draw(st.integers(0, 10**6))), 3, 5)
+                 for _ in range(3)]
+        for p in [*polys, *elim.gens.generators]:
+            nf, combo = elim.normal_form(p.terms)
+            assert (nf, combo) == reference_normal_form(elim, p.terms)
+            assert FreePoly(alg, nf) + freealg._certificate(combo).evaluate(elim.gens) == p
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_overlap_free_rewriting_keeps_the_sum(self, data):
+        field = data.draw(st.sampled_from([QQ, GF(7)]))
+        alg = FreeAlgebra(field, ["x", "y", "z"][:data.draw(st.integers(2, 3))])
+        gens = IdealGens(alg, data.draw(residual_generators(alg))[0])
+        rules = _overlap_free_rules(gens)
+        assume(rules is not None)
+        rng = random.Random(data.draw(st.integers(0, 10**6)))
+        for p in [random_poly(alg, rng, 4, 5) for _ in range(3)]:
+            nf, combo = _rewrite(alg, rules, p.terms)
+            assert FreePoly(alg, nf) + freealg._certificate(combo).evaluate(gens) == p
+            # nf is in normal form: no word of it holds a leading word
+            assert not any(w[k:k + len(lead)] == lead
+                           for w in nf for lead in rules for k in range(len(w)))
 
 
 def plain_decide(gens, targets, degree_bound):
@@ -570,7 +626,7 @@ class TestOverlapFreeShortcut:
             plain = IdealSpan(gens)
             weighted = IdealSpan(gens, weights)
             for t in targets:
-                if _rewrite(alg, rules, t.terms):
+                if _rewrite(alg, rules, t.terms)[0]:
                     # a proven non-member: no degree finds it, weighted or not
                     assert not plain.memberships([t], 4)[0].member
                     assert not weighted.memberships([t], 4)[0].member
@@ -597,10 +653,10 @@ class TestOverlapFreeShortcut:
         x, y = xy.letter("x"), xy.letter("y")
         gens = IdealGens(xy, [(x * y).scale(2) - x])
         rules = _overlap_free_rules(gens)
-        assert rules == {("x", "y"): {("x",): Fraction(1, 2)}}
+        assert rules == {("x", "y"): ({("x",): Fraction(1, 2)}, {((), 0, ()): Fraction(1, 2)})}
         # x.y.y -> 1/2 x.y -> 1/4 x
-        assert _rewrite(xy, rules, (x * y * y).terms) == {("x",): Fraction(1, 4)}
-        assert _rewrite(xy, rules, (x * y - x.scale(Fraction(1, 2))).terms) == {}
+        assert _rewrite(xy, rules, (x * y * y).terms)[0] == {("x",): Fraction(1, 4)}
+        assert _rewrite(xy, rules, (x * y - x.scale(Fraction(1, 2))).terms)[0] == {}
 
     def test_settled_targets_build_no_span(self, xy, monkeypatch):
         x, y = xy.letter("x"), xy.letter("y")
@@ -633,6 +689,24 @@ class TestOverlapFreeShortcut:
         want = plain_decide(gens, targets, 4)
         assert ([(r.member, r.searched_degree) for r in got]
                 == [(r.member, r.searched_degree) for r in want])
+
+    def test_rewriting_certificate_can_exceed_the_span_degree(self):
+        # the residual rules prove w.y.x a member, but through a product of
+        # higher weighted degree than the certificate the span finds
+        alg = FreeAlgebra(QQ, ["x", "y", "z", "w"])
+        gens = IdealGens(alg, [alg.parse(t) for t in ["2*z", "-y.y.z + 2*w", "y.x"]])
+        target = alg.parse("w.y.x")
+        res = decide_memberships(gens, [target], 5)[0]
+        assert res.member and res.searched_degree == 3
+        assert res.certificate.max_degree(gens) <= 3
+        assert res.certificate.evaluate(gens) == target
+        elim = LinearElimination(gens)
+        assert [g.to_text() for g in elim.residual.generators] == ["2*w", "y.x"]
+        residual_nf = elim.normal_form(target.terms)[0]
+        nf, combo = _rewrite(elim.algebra, _overlap_free_rules(elim.residual), residual_nf)
+        assert nf == {}
+        assert combo == {((), 0, ("y", "x")): Fraction(1, 2)}
+        assert max(len(wl) + elim.weights[gi] + len(wr) for wl, gi, wr in combo) == 5
 
     def test_constant_residual_generator(self, xy):
         x, y = xy.letter("x"), xy.letter("y")

@@ -30,6 +30,17 @@ The glued 6x6 hom (the Kronecker module of dimension (2,3) glued at vertex
 Undetermined (exit 3) at `--degree 2`, where its two commutator elements
 are still unresolved.
 
+Two more verify reports cover the paths of the membership engine that no
+benchmark workload reaches.  The canonical 3-Kronecker hom of dimension
+(1,1) is Undetermined (exit 3): its overlap-free residual basis proves
+`v11 - v22` and the commutators non-members, and the specialization test
+finds no refutation.  The overlap hom, the canonical Kronecker hom of
+dimension (1,1) with `x[a]_1_1 -> x` and `x[b]_1_1 -> x.y` over k<x,y>, is
+written out as JSON, since no `build` subcommand makes it.  Its residual
+leads `v2_2.x` and `v2_2.x.y` are not overlap-free, so its elements are
+searched in the span to the default bound of 7 before the specialization
+test refutes it (exit 1).
+
 One glued hom is drawn rather than written out: the first Kronecker brick of
 dimension (3,4) that `random_representation` gives from `random.Random(3)`,
 glued at vertex 2 into M_8(k<x1,x2,x3>).  Its size-2 specialization trials
@@ -38,6 +49,7 @@ fill-in to matter in the sparse GF(p) elimination.
 """
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -50,6 +62,7 @@ QUIVERS = {
     "a2.quiver": "vertices 1 2\narrow a 1 2\n",
     "a3.quiver": "vertices 1 2 3\narrow a 1 2\narrow b 2 3\n",
     "kronecker.quiver": "vertices 1 2\narrow a 1 2\narrow b 1 2\n",
+    "k3.quiver": "vertices 1 2\narrow a 1 2\narrow b 1 2\narrow c 1 2\n",
 }
 
 REPS = {
@@ -79,6 +92,7 @@ BUILDS = {
     "canonical_a2": ["canonical", "a2.quiver", "--dims", "1=1,2=1"],
     "canonical_kr12": ["canonical", "kronecker.quiver", "--dims", "1=1,2=2"],
     "canonical_a2_22": ["canonical", "a2.quiver", "--dims", "1=2,2=2"],
+    "canonical_k3": ["canonical", "k3.quiver", "--dims", "1=1,2=1"],
     "glue6": ["glue", "k23.rep", "2"],
     "glue6_degree2": ["glue", "k23.rep", "2"],
 }
@@ -88,7 +102,7 @@ VERIFY_ARGS = {"glue6_degree2": ["--degree", "2"]}
 
 # case name -> exit code of its verify: 1 Refuted, 3 Undetermined, 0 for the rest (Verified)
 VERIFY_CODES = {"p12_s2": 1, "canonical_a2": 1, "canonical_kr12": 1, "canonical_a2_22": 1,
-                "glue6_degree2": 3}
+                "canonical_k3": 3, "glue6_degree2": 3}
 
 # case name -> SHA-256 of (build report, hom file, verify report)
 DIGESTS = {
@@ -171,6 +185,11 @@ DIGESTS = {
         "4502c20c4df40abf6ad6bd02ce3e073d6d4b0474a9fe9b7927ca8c7148634172",
         "f96bb9e5db83ca94e32560cc235991aca9d9d2a9965c2722a3b0733215a93308",
         "de0c3b9d42a7853613b6b435aba624585a700f67f2d5cb352a2224359d27061f",
+    ),
+    "canonical_k3": (
+        "6be0faff25d95ea0fe743a23cd1ecdd2730c3334153af6d4c13ffb1123a4f63d",
+        "87f2c6e2f32b526359437fec982c3702ac62861ca6173fde8aae22cc8fbb370e",
+        "111f357eaa712dc5dc116439381c0e3a7c719aeadb67a00bdf5beb14a2126876",
     ),
     "canonical_a2_22": (
         "543b361b1bd4bf4a262ad7e44dcac31a3110f634c9b4bf08ac18f6409b15d000",
@@ -283,3 +302,24 @@ def test_glued_kronecker34_digests(tmp_path, monkeypatch, capsys):
     outputs = (build_report.encode(), (tmp_path / "kr34.hom.json").read_bytes(),
                verify_report.encode())
     assert tuple(hashlib.sha256(b).hexdigest() for b in outputs) == GLUED_KR34_DIGESTS
+
+
+# the overlap hom as a hom file, and the SHA-256 of its verify report
+OVERLAP_HOM = {
+    "schema": 1, "field": "q",
+    "source_quiver": {"vertices": ["1", "2"], "arrows": [["a", "1", "2"], ["b", "1", "2"]]},
+    "size": 2, "alphabet": ["x", "y"],
+    "idem_images": {"1": [["1", "0"], ["0", "0"]], "2": [["0", "0"], ["0", "1"]]},
+    "arrow_images": {"a": [["0", "0"], ["x", "0"]], "b": [["0", "0"], ["x.y", "0"]]},
+    "letter_coords": None, "provenance": "direct",
+}
+OVERLAP_VERIFY_DIGEST = "558cb4b904ea64e93c2f16c83d605505f80e1ff0a97a24f2d7186406933814da"
+
+
+def test_overlap_hom_digest(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "overlap.hom.json").write_text(json.dumps(OVERLAP_HOM), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", "overlap.hom.json"]) == 1
+    verify_report = capsys.readouterr().out
+    assert hashlib.sha256(verify_report.encode()).hexdigest() == OVERLAP_VERIFY_DIGEST
