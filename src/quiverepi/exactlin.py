@@ -7,8 +7,9 @@ Field supplies three row kernels, dot(xs, ys), row_sub(xs, c, ys) = xs - c*ys
 and row_scale(c, xs), each doing one field operation per result entry (over
 GF(p) one `% p`), and the dense matrix code is written against those.
 
-Each Field supplies its own Gauss-Jordan elimination, Field.eliminate: over
-GF(p) on the row kernels, over QQ fraction-free on Python integers
+Each Field supplies its own elimination, Field.eliminate, on the same loop
+as its Field.rank (below): over GF(p) it back-substitutes the sparse
+echelon, last pivot first; over QQ it is fraction-free on Python integers
 (Bareiss's exact division by the previous pivot), forming Fractions only
 for the final rows.  rref, and everything that needs a basis or an inverse
 (nullspace_basis, column_space_basis, solve_or_invert), calls it.  The
@@ -269,42 +270,14 @@ class PrimeField:
         p = self.p
         return [c * x % p for x in xs]
 
-    def eliminate(self, rows, cols: int) -> tuple[list[list], list[int]]:
-        """Reduced row echelon rows and pivot columns, by Gauss-Jordan on
-        the row kernels: each pivot row is scaled to a leading 1, then every
-        other row is cleared."""
-        a = [list(row) for row in rows]
-        n = len(a)
-        pivots: list[int] = []
-        r = 0
-        for c in range(cols):
-            pivot_row = -1
-            for i in range(r, n):
-                if a[i][c]:
-                    pivot_row = i
-                    break
-            if pivot_row < 0:
-                continue
-            a[r], a[pivot_row] = a[pivot_row], a[r]
-            # the pivot row is zero left of column c, so only its tail does work
-            tail = a[r][c:] = self.row_scale(self.inv(a[r][c]), a[r][c:])
-            for i in range(n):
-                if i != r and a[i][c]:
-                    a[i][c:] = self.row_sub(a[i][c:], a[i][c], tail)
-            pivots.append(c)
-            r += 1
-            if r == n:
-                break
-        return a, pivots
+    def _echelon(self, rows: Iterable[dict], cols: int) -> dict[int, dict]:
+        """The incremental sparse echelon shared by eliminate and rank.
 
-    def rank(self, rows: Iterable[dict], cols: int) -> int:
-        """Row rank of sparse rows {column: nonzero}, by an incremental
-        sparse echelon.  pivots maps each leading column to the rest of a
-        kept row scaled to a leading 1; each row is reduced by them, its
-        smallest column first, until it vanishes or leads a new column.
-        Subtracting a pivot row cancels the lead and touches only columns
-        right of it; the zeros it leaves are dropped when they come to
-        lead."""
+        Maps each leading column to the rest of a kept row scaled to a
+        leading 1; each row is reduced by them, its smallest column first,
+        until it vanishes or leads a new column.  Subtracting a pivot row
+        cancels the lead and touches only columns right of it; the zeros it
+        leaves are dropped when they come to lead."""
         p = self.p
         pivots: dict[int, dict] = {}
         for row in rows:
@@ -324,7 +297,29 @@ class PrimeField:
                     break
                 for j, y in tail.items():
                     row[j] = (get(j, 0) - q * y) % p
-        return len(pivots)
+        return pivots
+
+    def eliminate(self, rows, cols: int) -> tuple[list[list], list[int]]:
+        """Reduced row echelon rows and pivot columns: the sparse echelon,
+        then back-substitution, last pivot first, so that each pivot row is
+        cleared of the later pivot columns by rows already free of them."""
+        p = self.p
+        rows = [{j: x for j, x in enumerate(row) if x} for row in rows]
+        echelon = self._echelon(rows, cols)
+        pivots = sorted(echelon)
+        for c in reversed(pivots):
+            tail = echelon[c]
+            for k in [j for j in tail if j in echelon]:
+                q = tail.pop(k)
+                for j, y in echelon[k].items():
+                    tail[j] = (tail.get(j, 0) - q * y) % p
+        out = [[1 if j == c else echelon[c].get(j, 0) for j in range(cols)] for c in pivots]
+        return out + [[0] * cols for _ in range(len(rows) - len(pivots))], pivots
+
+    def rank(self, rows: Iterable[dict], cols: int) -> int:
+        """Row rank of sparse rows {column: nonzero}: the number of leading
+        columns of their sparse echelon."""
+        return len(self._echelon(rows, cols))
 
     def to_str(self, a):
         return str(a % self.p)

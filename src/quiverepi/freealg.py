@@ -17,7 +17,7 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .exactlin import ExactMatrix, RationalField
+from .exactlin import RationalField
 
 Word = tuple[str, ...]
 
@@ -35,6 +35,10 @@ class PolyParseError(Exception):
 
 
 _LETTER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\[\]]*")
+_WORD = rf"{_LETTER_RE.pattern}(?:\s*\.\s*{_LETTER_RE.pattern})*"
+# one term of FreeAlgebra.parse, with the whitespace around it
+_TERM_RE = re.compile(rf"\s*(?P<signs>[+-][\s+-]*)?(?:(?P<coeff>\d+(?:/\d+)?)"
+                      rf"(?:\s*\*\s*(?P<word>{_WORD}))?|(?P<bare>{_WORD}))\s*")
 
 
 class FreeAlgebra:
@@ -116,83 +120,39 @@ class FreeAlgebra:
         return itertools.product(self.letters, repeat=d)
 
     def parse(self, text: str) -> "FreePoly":
-        """Parse the CLI/debug polynomial syntax, e.g. `3/2*x.y + v11 - 1`."""
+        """Parse the polynomial syntax of hom files, e.g. `3/2*x.y + v11 - 1`:
+
+            poly  = [signs] term { signs term }
+            signs = ("+" | "-") { "+" | "-" }  (an odd number of "-" negates)
+            term  = coeff "*" word | coeff | word
+            coeff = digits [ "/" digits ]
+            word  = letter { "." letter }
+
+        with letters as _LETTER_RE and whitespace allowed around signs, `*`
+        and `.`.  _TERM_RE reads one term at a time.  Raises PolyParseError
+        naming the position and the unparsed rest on malformed text, and on
+        a coefficient with a zero denominator in the field; AlphabetMismatch
+        on a letter outside the alphabet.
+        """
+        f = self.field
+        terms: dict[Word, object] = {}
         pos = 0
-        n = len(text)
-        acc = self.zero()
-        sign_pending = 1
-        expect_term = True
-
-        def skip_ws(i):
-            while i < n and text[i].isspace():
-                i += 1
-            return i
-
-        pos = skip_ws(pos)
-        if pos == n:
-            raise PolyParseError("empty polynomial text")
-        while pos < n:
-            pos = skip_ws(pos)
-            if pos >= n:
-                break
-            ch = text[pos]
-            if ch in "+-":
-                if expect_term and ch == "-":
-                    sign_pending = -sign_pending
-                    pos += 1
-                    continue
-                if expect_term:
-                    pos += 1
-                    continue
-                sign_pending = 1 if ch == "+" else -1
-                expect_term = True
-                pos += 1
-                continue
-            if not expect_term:
-                raise PolyParseError(f"unexpected {ch!r} at position {pos}")
-            coeff = None
-            m = re.match(r"\d+(?:/\d+)?", text[pos:])
-            if m:
-                try:
-                    coeff = self.field.coerce(m.group(0))
-                except ZeroDivisionError:
-                    raise PolyParseError(
-                        f"coefficient {m.group(0)!r} has a zero denominator in {self.field!r}"
-                    ) from None
-                pos += m.end()
-                pos = skip_ws(pos)
-                if pos < n and text[pos] == "*":
-                    pos += 1
-                    pos = skip_ws(pos)
-                else:
-                    term = self.scalar(self.field.mul(coeff, self.field.coerce(sign_pending)))
-                    acc = acc + term
-                    sign_pending = 1
-                    expect_term = False
-                    continue
-            word = []
-            while True:
-                m = _LETTER_RE.match(text, pos)
-                if not m:
-                    raise PolyParseError(f"expected a letter at position {pos}")
-                name = m.group(0)
-                self._check_word((name,))
-                word.append(name)
-                pos = m.end()
-                pos = skip_ws(pos)
-                if pos < n and text[pos] == ".":
-                    pos += 1
-                    pos = skip_ws(pos)
-                    continue
-                break
-            c = self.field.one() if coeff is None else coeff
-            c = self.field.mul(c, self.field.coerce(sign_pending))
-            acc = acc + self.monomial(tuple(word), c)
-            sign_pending = 1
-            expect_term = False
-        if expect_term:
-            raise PolyParseError("dangling sign at end of polynomial")
-        return acc
+        while True:
+            m = _TERM_RE.match(text, pos)
+            if m is None or (pos and m["signs"] is None):
+                raise PolyParseError(f"cannot parse {text[pos:]!r} at position {pos}")
+            coeff, word = m["coeff"], m["word"] or m["bare"]
+            try:
+                c = f.one() if coeff is None else f.coerce(coeff)
+            except ZeroDivisionError:
+                raise PolyParseError(
+                    f"coefficient {coeff!r} has a zero denominator in {f!r}") from None
+            word = tuple(re.split(r"\s*\.\s*", word)) if word else ()
+            self._check_word(word)
+            _add_term(f, terms, word, f.neg(c) if (m["signs"] or "").count("-") % 2 else c)
+            pos = m.end()
+            if pos == len(text):
+                return FreePoly(self, terms)
 
 
 class FreePoly:
@@ -299,18 +259,6 @@ class FreePoly:
             for name in w:
                 prod = prod * images[name]
             acc = acc + prod
-        return acc
-
-    def substitute_matrices(self, assignment: dict[str, ExactMatrix], size: int, field) -> ExactMatrix:
-        """Evaluate at square matrices: words become matrix products, the
-        empty word the identity; coefficients are coerced into the matrices'
-        field."""
-        acc = ExactMatrix.zeros(field, size, size)
-        for w, c in self.terms.items():
-            prod = ExactMatrix.identity(field, size)
-            for name in w:
-                prod = prod * assignment[name]
-            acc = acc + prod.scale(field.coerce(c))
         return acc
 
     def to_text(self) -> str:

@@ -343,6 +343,15 @@ def _short_arrow(data):
     data["source_quiver"]["arrows"][0] = ["a", "1"]
 
 
+def _entry(text):
+    """A mutation that puts the hom over k<x> and writes text into an entry
+    of the arrow image of a."""
+    def mutate(data):
+        data["alphabet"] = ["x"]
+        data["arrow_images"]["a"][1][0] = text
+    return mutate
+
+
 class TestMalformedHom:
     """A malformed hom file is an input error: exit 2 with an `error:` line,
     never exit 1 (the Refuted code) and never an exception out of main."""
@@ -354,9 +363,11 @@ class TestMalformedHom:
         self.assert_input_error(capsys, hom)
 
     @pytest.mark.parametrize("mutate", [_drop_idem, _string_size, _integer_entry,
-                                        _short_arrow, _ragged_row],
+                                        _short_arrow, _ragged_row, _entry("x +"),
+                                        _entry("2 x"), _entry("q")],
                              ids=["missing-idem", "string-size", "integer-entry",
-                                  "two-element-arrow", "ragged-row"])
+                                  "two-element-arrow", "ragged-row", "dangling-sign",
+                                  "missing-star", "unknown-letter"])
     def test_mutated_brick_hom(self, workdir, capsys, mutate):
         hom = workdir / "brick.hom.json"
         assert main(["build", "brick", str(workdir / "brick.rep"), "--out", str(hom)]) == 0

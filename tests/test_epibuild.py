@@ -736,9 +736,22 @@ def substitution_cases(draw):
     return mat, assignment, ell, field
 
 
+def substitute_matrices(poly, assignment, size, field):
+    """The reference evaluation of poly at square matrices: each word a
+    product of its letters' matrices, the empty word the identity, and the
+    coefficients coerced into the matrices' field."""
+    acc = ExactMatrix.zeros(field, size, size)
+    for w, c in poly.terms.items():
+        prod = ExactMatrix.identity(field, size)
+        for name in w:
+            prod = prod * assignment[name]
+        acc = acc + prod.scale(field.coerce(c))
+    return acc
+
+
 class TestSubstitution:
     """_substitute_freemat, which adds each term's word matrix into the grid,
-    agrees block by block with FreePoly.substitute_matrices."""
+    agrees block by block with the per-entry reference substitute_matrices."""
 
     @settings(max_examples=200, deadline=None)
     @given(substitution_cases())
@@ -747,7 +760,7 @@ class TestSubstitution:
         grid = [[field.zero()] * (mat.cols * ell) for _ in range(mat.rows * ell)]
         for i, row in enumerate(mat.entries):
             for j, poly in enumerate(row):
-                cell = poly.substitute_matrices(assignment, ell, field)
+                cell = substitute_matrices(poly, assignment, ell, field)
                 for p in range(ell):
                     grid[i * ell + p][j * ell:(j + 1) * ell] = cell.entries[p]
         got = _substitute_freemat(mat, assignment, ell, field)

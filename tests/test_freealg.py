@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -91,11 +92,13 @@ class TestPolyText:
         p = x * y.scale(Fraction(3, 2)) + xy.letter("x") - 1
         assert p.to_text() == "3/2*x.y + x - 1"
 
-    def test_parse_round_trip(self, xy):
-        rng = random.Random(9)
-        for _ in range(20):
-            p = random_poly(xy, rng)
-            assert xy.parse(p.to_text()) == p
+    def test_parse_round_trip(self):
+        for field in (QQ, GF(101)):
+            alg = FreeAlgebra(field, ["x", "y"])
+            rng = random.Random(9)
+            for _ in range(20):
+                p = random_poly(alg, rng)
+                assert alg.parse(p.to_text()) == p
 
     def test_parse_examples(self, vxy):
         p = vxy.parse("3/2*x.x.v1_2 + v1_2 - v2_1")
@@ -115,6 +118,124 @@ class TestPolyText:
             xy.parse("1/0*x")
         with pytest.raises(PolyParseError):
             FreeAlgebra(GF(101), ["x"]).parse("x + 1/101")
+
+
+def reference_parse(algebra, text):
+    """The character-by-character state machine that FreeAlgebra.parse
+    replaced, kept as the reference for its accepted language, its result
+    and its exception types."""
+    pos = 0
+    n = len(text)
+    acc = algebra.zero()
+    sign_pending = 1
+    expect_term = True
+
+    def skip_ws(i):
+        while i < n and text[i].isspace():
+            i += 1
+        return i
+
+    pos = skip_ws(pos)
+    if pos == n:
+        raise PolyParseError("empty polynomial text")
+    while pos < n:
+        pos = skip_ws(pos)
+        if pos >= n:
+            break
+        ch = text[pos]
+        if ch in "+-":
+            if expect_term and ch == "-":
+                sign_pending = -sign_pending
+                pos += 1
+                continue
+            if expect_term:
+                pos += 1
+                continue
+            sign_pending = 1 if ch == "+" else -1
+            expect_term = True
+            pos += 1
+            continue
+        if not expect_term:
+            raise PolyParseError(f"unexpected {ch!r} at position {pos}")
+        coeff = None
+        m = re.match(r"\d+(?:/\d+)?", text[pos:])
+        if m:
+            try:
+                coeff = algebra.field.coerce(m.group(0))
+            except ZeroDivisionError:
+                raise PolyParseError(f"zero denominator in {m.group(0)!r}") from None
+            pos += m.end()
+            pos = skip_ws(pos)
+            if pos < n and text[pos] == "*":
+                pos += 1
+                pos = skip_ws(pos)
+            else:
+                f = algebra.field
+                acc = acc + algebra.scalar(f.mul(coeff, f.coerce(sign_pending)))
+                sign_pending = 1
+                expect_term = False
+                continue
+        word = []
+        while True:
+            m = freealg._LETTER_RE.match(text, pos)
+            if not m:
+                raise PolyParseError(f"expected a letter at position {pos}")
+            name = m.group(0)
+            algebra._check_word((name,))
+            word.append(name)
+            pos = m.end()
+            pos = skip_ws(pos)
+            if pos < n and text[pos] == ".":
+                pos += 1
+                pos = skip_ws(pos)
+                continue
+            break
+        c = algebra.field.one() if coeff is None else coeff
+        c = algebra.field.mul(c, algebra.field.coerce(sign_pending))
+        acc = acc + algebra.monomial(tuple(word), c)
+        sign_pending = 1
+        expect_term = False
+    if expect_term:
+        raise PolyParseError("dangling sign at end of polynomial")
+    return acc
+
+
+def parse_outcome(parse, text):
+    """The parsed terms, or the type of the exception parse raised."""
+    try:
+        return parse(text).terms
+    except Exception as exc:
+        return type(exc)
+
+
+# Pieces of polynomial text: signs, unusual whitespace, digits (Unicode
+# ones too), zero denominators in QQ and GF(101), `*`, `.`, letters of the
+# alphabet and letters outside it.
+PARSE_PIECES = ["+", "-", "--", " ", "\t", "\n", "\u00a0", "\u2003", "0", "1", "2", "12",
+                "101", "3/2", "1/0", "1/101", "0/5", "\u0663", "\u0661/\u0662", "/", "*", ".",
+                "x", "y", "x1", "x[a]_1", "_", "q", "X", "2*x", "x.y", "1a"]
+
+
+class TestParseAgainstReference:
+    """FreeAlgebra.parse agrees with the state machine it replaced: the
+    same terms, or an exception of the same type."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(field=st.sampled_from([QQ, GF(101)]),
+           text=st.one_of(st.lists(st.sampled_from(PARSE_PIECES), max_size=9).map("".join),
+                          st.text(alphabet="+- \t*./0123456789xyq_[]\u0663", max_size=14)))
+    def test_matches_the_reference(self, field, text):
+        alg = FreeAlgebra(field, ["x", "y", "x1", "x[a]_1", "_"])
+        assert parse_outcome(alg.parse, text) == parse_outcome(
+            lambda t: reference_parse(alg, t), text)
+
+    @pytest.mark.parametrize("text, pos", [("", 0), ("  ", 0), ("x +", 2), ("-", 0),
+                                           ("2 x", 2), ("x y", 2), ("2*", 1), ("*x", 0),
+                                           ("x.", 1), ("3/ 2", 1), ("2*3", 1), ("x*y", 1)])
+    def test_malformed_text_names_position_and_rest(self, xy, text, pos):
+        with pytest.raises(PolyParseError) as err:
+            xy.parse(text)
+        assert str(err.value) == f"cannot parse {text[pos:]!r} at position {pos}"
 
 
 class TestFreeMat:
@@ -150,12 +271,13 @@ class TestFreeMat:
         assert (a * b).rows == n and (a * b).cols == m
 
     def test_substitution_into_matrices(self, xy):
+        from quiverepi.epibuild import _substitute_freemat
         from quiverepi.exactlin import ExactMatrix
 
         p = xy.letter("x") * xy.letter("y") + 1
         ax = ExactMatrix(QQ, [[0, 1], [0, 0]])
         ay = ExactMatrix(QQ, [[0, 0], [1, 0]])
-        out = p.substitute_matrices({"x": ax, "y": ay}, 2, QQ)
+        out = _substitute_freemat(FreeMat(xy, [[p]]), {"x": ax, "y": ay}, 2, QQ)
         assert out == ExactMatrix(QQ, [[2, 0], [0, 1]])
 
 
