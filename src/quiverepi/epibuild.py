@@ -43,10 +43,14 @@ from .freealg import (
     FreeMat,
     FreePoly,
     IdealGens,
+    PolyParseError,
+    _add_term,
+    _nonzero,
+    _product,
     decide_memberships,
     default_degree_bound,
 )
-from .quiver import BlockLayout, Quiver, block_layout
+from .quiver import Quiver, block_layout
 from .quiverrep import (
     Representation,
     ZeroModule,
@@ -172,7 +176,8 @@ class AlgebraHom:
         return h
 
     def _validate(self):
-        n = self.size
+        """Raise InvalidHom on the first relation the images' nonzero entries break."""
+        n, f = self.size, self.field
         for v in self.source_quiver.vertices:
             if v not in self.idem_images:
                 raise InvalidHom(f"missing idempotent image for vertex {v!r}")
@@ -184,23 +189,24 @@ class AlgebraHom:
                 raise InvalidHom(f"image of {name!r} is {m.rows}x{m.cols}, expected {n}x{n}")
             if m.algebra != self.algebra:
                 raise InvalidHom(f"image of {name!r} lives over a different algebra")
-        idems = [self.idem_images[v] for v in self.source_quiver.vertices]
-        for v, e in zip(self.source_quiver.vertices, idems):
-            if e * e != e:
+        idems = {v: _nonzero(self.idem_images[v]) for v in self.source_quiver.vertices}
+        for v, e in idems.items():
+            if _product(f, e, e) != e:
                 raise InvalidHom(f"idempotent image of vertex {v!r} is not idempotent")
-        for i, v in enumerate(self.source_quiver.vertices):
-            for j, w in enumerate(self.source_quiver.vertices):
-                if i != j and not (idems[i] * idems[j]).is_zero():
+        for v, e in idems.items():
+            for w, e2 in idems.items():
+                if v != w and _product(f, e, e2):
                     raise InvalidHom(f"idempotent images of {v!r} and {w!r} are not orthogonal")
-        total = FreeMat.zeros(self.algebra, n, n)
-        for e in idems:
-            total = total + e
-        if total != FreeMat.identity(self.algebra, n):
+        total: dict = {}
+        for e in idems.values():
+            for ij, terms in e.items():
+                for w, c in terms.items():
+                    _add_term(f, total.setdefault(ij, {}), w, c)
+        if {ij: t for ij, t in total.items() if t} != {(i, i): {(): f.one()} for i in range(n)}:
             raise InvalidHom("idempotent images do not sum to the identity")
         for a in self.source_quiver.arrows:
-            img = self.arrow_images[a.name]
-            sandwich = self.idem_images[a.target] * img * self.idem_images[a.source]
-            if sandwich != img:
+            img = _nonzero(self.arrow_images[a.name])
+            if _product(f, _product(f, idems[a.target], img), idems[a.source]) != img:
                 raise InvalidHom(
                     f"arrow {a.name!r} image is not supported in block "
                     f"({a.target!r}, {a.source!r})"
@@ -227,24 +233,15 @@ class AlgebraHom:
         diagonal identity block at the running offset in declared vertex
         order.
         """
-        alg = self.algebra
+        one = {(): self.field.one()}
         dims = {}
         offset = 0
         for v in self.source_quiver.vertices:
-            e = self.idem_images[v]
+            e = _nonzero(self.idem_images[v])
             k = 0
-            for d in range(offset, self.size):
-                if e.entry(d, d) == alg.one():
-                    k += 1
-                else:
-                    break
-            expect = FreeMat(
-                alg,
-                [[alg.one() if (i == j and offset <= i < offset + k) else alg.zero()
-                  for j in range(self.size)] for i in range(self.size)],
-                cols=self.size,
-            )
-            if e != expect:
+            while e.get((offset + k, offset + k)) == one:
+                k += 1
+            if e != {(i, i): one for i in range(offset, offset + k)}:
                 raise LayoutMismatch(
                     f"idempotent image of vertex {v!r} is not the standard block identity"
                 )
@@ -254,18 +251,19 @@ class AlgebraHom:
             raise LayoutMismatch("idempotent blocks do not fill the matrix size")
         return dims
 
-    def layout(self) -> BlockLayout:
-        return block_layout(self.source_quiver, self.standard_dims())
-
-    def arrow_block(self, arrow_name: str) -> FreeMat:
-        """The (target, source) block of an arrow image, per standard layout."""
-        lay = self.layout()
-        a = self.source_quiver.arrow(arrow_name)
-        img = self.arrow_images[arrow_name]
-        rows = list(lay.block_range(a.target))
-        cols = list(lay.block_range(a.source))
-        return FreeMat(self.algebra, [[img.entry(i, j) for j in cols] for i in rows],
-                       cols=len(cols))
+    def standard_blocks(self) -> tuple[dict[str, int], dict[str, FreeMat]]:
+        """The standard dimension vector (standard_dims) and the (target,
+        source) block of every arrow image in its layout."""
+        dims = self.standard_dims()
+        lay = block_layout(self.source_quiver, dims)
+        blocks = {}
+        for a in self.source_quiver.arrows:
+            img = self.arrow_images[a.name].entries
+            cols = lay.block_range(a.source)
+            blocks[a.name] = FreeMat._of(self.algebra, [[img[i][j] for j in cols]
+                                                        for i in lay.block_range(a.target)],
+                                         len(cols))
+        return dims, blocks
 
     def to_json_dict(self) -> dict:
         q = self.source_quiver
@@ -306,12 +304,18 @@ class AlgebraHom:
         n = data["size"]
         zero = algebra.zero()
 
-        def grid(rows):
-            return FreeMat(algebra, [[zero if t == "0" else algebra.parse(t) for t in row]
-                                     for row in rows], cols=n)
+        def entry(key, name, i, j, t):
+            try:
+                return zero if t == "0" else algebra.parse(t)
+            except (PolyParseError, AlphabetMismatch) as exc:
+                raise type(exc)(f"{key}[{name!r}][{i}][{j}]: {exc}") from None
 
-        idem = {v: grid(data["idem_images"][v]) for v in quiver.vertices}
-        arrows = {a.name: grid(data["arrow_images"][a.name]) for a in quiver.arrows}
+        def grid(key, name):
+            return FreeMat(algebra, [[entry(key, name, i, j, t) for j, t in enumerate(row)]
+                                     for i, row in enumerate(data[key][name])], cols=n)
+
+        idem = {v: grid("idem_images", v) for v in quiver.vertices}
+        arrows = {a.name: grid("arrow_images", a.name) for a in quiver.arrows}
         coords = data.get("letter_coords")
         if coords is not None:
             coords = {x: (v[0], v[1], v[2]) for x, v in coords.items()}
@@ -620,10 +624,10 @@ def factor_through_canonical(h: AlgebraHom) -> dict[str, FreePoly]:
     reproduces h: x^(e)_ij maps to entry (i, j) of h's arrow block.  Requires
     standard-layout idempotent images (LayoutMismatch otherwise); verified by
     re-substitution before returning."""
-    dims = h.standard_dims()
+    dims, blocks = h.standard_blocks()
     assignment: dict[str, FreePoly] = {}
     for a in h.source_quiver.arrows:
-        blk = h.arrow_block(a.name)
+        blk = blocks[a.name]
         for i in range(blk.rows):
             for j in range(blk.cols):
                 assignment[block_letter(a.name, i + 1, j + 1)] = blk.entry(i, j)
@@ -773,25 +777,28 @@ def commutant_ideal_gens(h: AlgebraHom) -> tuple[FreeAlgebra, IdealGens]:
         if name in h.algebra.letters:
             raise AlphabetMismatch(f"hom alphabet already contains reserved letter {name!r}")
     combined = FreeAlgebra(h.field, list(h.algebra.letters) + v_names)
-    V = FreeMat(combined,
-                [[combined.letter(f"v{i}_{j}") for j in range(1, n + 1)]
-                 for i in range(1, n + 1)],
-                cols=n)
-
-    def embed(mat: FreeMat) -> FreeMat:
-        return FreeMat(combined, [[combined.embed(p) for p in row] for row in mat.entries],
-                       cols=mat.cols)
-
+    f = h.field
+    letter = [[(v_names[i * n + j],) for j in range(n)] for i in range(n)]
     gens: dict[FreePoly, None] = {}  # insertion-ordered set
     images = [h.idem_images[v] for v in h.source_quiver.vertices]
     images += [h.arrow_images[a.name] for a in h.source_quiver.arrows]
     for g in images:
-        ge = embed(g)
-        comm = V * ge - ge * V
-        for row in comm.entries:
-            for p in row:
-                if not p.is_zero():
-                    gens.setdefault(p)
+        # (i, j) gains v_ik g_kj for each nonzero g_kj, then loses g_ik v_kj
+        # for each nonzero g_ik, k ascending: the term order of V*g - g*V
+        comm = [[{} for _ in range(n)] for _ in range(n)]
+        entries = _nonzero(g)
+        for (k, j), terms in entries.items():
+            for i in range(n):
+                for w, c in terms.items():
+                    _add_term(f, comm[i][j], letter[i][k] + w, c)
+        for (i, k), terms in entries.items():
+            for j in range(n):
+                for w, c in terms.items():
+                    _add_term(f, comm[i][j], w + letter[k][j], f.neg(c))
+        for row in comm:
+            for terms in row:
+                if terms:
+                    gens.setdefault(FreePoly(combined, terms))
     return combined, IdealGens(combined, gens)
 
 
@@ -981,12 +988,22 @@ def specialize(h: AlgebraHom, assignment: dict[str, ExactMatrix],
 
 
 def _trial_dims(h: AlgebraHom, loops: Quiver, assignment: dict[str, ExactMatrix],
-                ell: int) -> tuple[int, int]:
+                ell: int, standard=None) -> tuple[int, int]:
     """(dim End over the path algebra of the specialized module, dim of the
     centralizer of the assigned matrices).  The centralizer is End of the
     one-vertex module on the loop quiver `loops`, one loop per letter acting
-    by its matrix."""
-    rep = specialize(h, assignment, size=ell)
+    by its matrix.
+
+    standard, h.standard_blocks() if h has the standard layout, skips
+    specialize: the idempotent images become e_v (x) I_ell under every
+    assignment, so each arrow acts by its substituted block alone."""
+    if standard is None:
+        rep = specialize(h, assignment, size=ell)
+    else:
+        dims, blocks = standard
+        rep = Representation(h.source_quiver, {v: ell * d for v, d in dims.items()},
+                             {a: _substitute_freemat(b, assignment, ell, h.field)
+                              for a, b in blocks.items()}, field=h.field)
     if rep.total_dim() == 0:
         return 0, 0
     letters = Representation(loops, {"*": ell}, assignment, field=rep.field)
@@ -1057,6 +1074,10 @@ def specialization_refutation_test(h: AlgebraHom, trials: int = 20,
 
     field = h.field if h.field != QQ else GF(_specialization_prime(h))
     hs = convert_hom_field(h, field)
+    try:
+        standard = hs.standard_blocks()
+    except LayoutMismatch:  # letters or a conjugated layout in the idempotent images
+        standard = None
     loops = Quiver(["*"], [(x, "*", "*") for x in h.algebra.letters], require_acyclic=False)
     rng = random.Random(seed)
     sizes = list(sizes)
@@ -1074,7 +1095,7 @@ def specialization_refutation_test(h: AlgebraHom, trials: int = 20,
         }
         key = (ell, tuple(m.entries for m in assignment.values()))
         if key not in done:
-            dim_path, dim_matrix = _trial_dims(hs, loops, assignment, ell)
+            dim_path, dim_matrix = _trial_dims(hs, loops, assignment, ell, standard)
             modular = None
             if dim_path > dim_matrix and h.field == QQ:
                 modular = {"prime": field.p, "dim_path_algebra": dim_path,

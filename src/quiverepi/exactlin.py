@@ -1,20 +1,23 @@
 """Exact scalars and dense linear algebra over QQ and GF(p).
 
-Scalars are plain Python values (fractions.Fraction for QQ, canonical
-residues 0..p-1 for GF(p)); a Field object supplies the arithmetic so the
-same matrix code runs over either field.  Besides scalar operations, each
-Field supplies three row kernels, dot(xs, ys), row_sub(xs, c, ys) = xs - c*ys
-and row_scale(c, xs), each doing one field operation per result entry (over
+Scalars are plain Python values, one canonical form per value: over QQ an
+int when integral (the common case) and else a fractions.Fraction in lowest
+terms, over GF(p) the residue 0..p-1.  A Field object supplies the
+arithmetic, each operation returning that form, so the same matrix code
+runs over either field.  Besides scalar operations, each Field supplies
+three row kernels, dot(xs, ys), row_sub(xs, c, ys) = xs - c*ys and
+row_scale(c, xs), each doing one field operation per result entry (over
 GF(p) one `% p`), and the dense matrix code is written against those.
 
 Each Field supplies its own elimination, Field.eliminate, on the same loop
 as its Field.rank (below): over GF(p) it back-substitutes the sparse
 echelon, last pivot first; over QQ it is fraction-free on Python integers
-(Bareiss's exact division by the previous pivot), forming Fractions only
-for the final rows.  rref, and everything that needs a basis or an inverse
-(nullspace_basis, column_space_basis, solve_or_invert), calls it.  The
-reduced row echelon form and its pivot columns are unique, so both fields
-give the same result as any other exact elimination.
+(Bareiss's exact division by the previous pivot), forming a Fraction only
+for a non-integral entry of the final rows.  rref, and everything that
+needs a basis or an inverse (nullspace_basis, column_space_basis,
+solve_or_invert), calls it.  The reduced row echelon form and its pivot
+columns are unique, so both fields give the same result as any other exact
+elimination.
 
 Field.rank takes sparse rows, dicts {column: nonzero entry}, which is how
 quiverrep's intertwiner systems come: each of their rows has at most
@@ -31,8 +34,9 @@ so every result is deterministic.
 The public ExactMatrix constructor coerces every entry and rejects ragged
 rows.  Operations whose entries already lie in the field build their result
 with the internal ExactMatrix._of, which does neither; its contract is that
-every entry is canonical (a Fraction over QQ, an int in [0, p) over GF(p)),
-so a zero entry is falsy and equal entries compare equal.
+every entry is canonical (over QQ an int or a non-integral Fraction, over
+GF(p) an int in [0, p)), so a zero entry is falsy and equal entries compare
+equal, with equal hashes.
 """
 
 from __future__ import annotations
@@ -56,41 +60,44 @@ class NotIdempotentFamily(Exception):
 
 
 def _integer_row(row) -> list[int]:
-    """A dense row of Fractions scaled by the lcm of its denominators."""
+    """A dense row of rationals scaled by the lcm of its denominators."""
     den = lcm(*[x.denominator for x in row])
     if den == 1:
         return [x.numerator for x in row]
     return [x.numerator * (den // x.denominator) for x in row]
 
 
+def _q(x):
+    """QQ's canonical form of a rational: an int when integral, else itself."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
+
+
 class RationalField:
-    """The field QQ; values are fractions.Fraction in lowest terms."""
+    """The field QQ; a value is an int when integral, else a Fraction."""
 
     name = "q"
 
     def coerce(self, x):
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
+        if isinstance(x, (int, Fraction)):
+            return _q(x)
         if isinstance(x, str):
-            return Fraction(x)
+            return _q(Fraction(x))
         raise TypeError(f"cannot coerce {x!r} into QQ")
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def add(self, a, b):
-        return a + b
+        return _q(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _q(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _q(a * b)
 
     def neg(self, a):
         return -a
@@ -98,25 +105,25 @@ class RationalField:
     def div(self, a, b):
         if b == 0:
             raise ZeroDivisionError("division by zero in QQ")
-        return a / b
+        return _q(Fraction(a, b))
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero in QQ")
-        return 1 / Fraction(a)
+        return _q(Fraction(1, a))
 
     def is_zero(self, a):
         return a == 0
 
     def dot(self, xs, ys):
-        return sum([x * y for x, y in zip(xs, ys) if x and y], Fraction(0))
+        return _q(sum([x * y for x, y in zip(xs, ys) if x and y]))
 
     def row_sub(self, xs, c, ys):
         """xs - c*ys, skipping the zero entries of ys."""
-        return [x - c * y if y else x for x, y in zip(xs, ys)]
+        return [_q(x - c * y) if y else x for x, y in zip(xs, ys)]
 
     def row_scale(self, c, xs):
-        return [c * x for x in xs]
+        return [_q(c * x) for x in xs]
 
     def _echelon(self, a: list[list[int]], cols: int,
                  full: bool) -> tuple[list[list], list[int], list[int]]:
@@ -176,9 +183,10 @@ class RationalField:
         entry equals level[i]), the unique RREF; the other rows are zero.
         """
         a, level, pivots = self._echelon([_integer_row(row) for row in rows], cols, True)
-        r, zero = len(pivots), Fraction(0)
-        out = [[Fraction(x, d) if x else zero for x in row] for row, d in zip(a[:r], level)]
-        return out + [[zero] * cols] * (len(a) - r), pivots
+        r = len(pivots)
+        out = [[x // d if x % d == 0 else Fraction(x, d) for x in row]
+               for row, d in zip(a[:r], level)]
+        return out + [[0] * cols] * (len(a) - r), pivots
 
     def rank(self, rows: Iterable[dict], cols: int) -> int:
         """Row rank of sparse rows {column: nonzero}, by the forward-only

@@ -13,6 +13,7 @@ package constructs both factors are free, so this is exact.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import re
 from dataclasses import dataclass
@@ -390,19 +391,10 @@ class FreeMat:
             raise ShapeMismatch(
                 f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}"
             )
-        f = self.algebra.field
-        # the nonzero entries of each row of the right factor
-        sparse = [[(j, b.terms) for j, b in enumerate(row) if b.terms] for row in other.entries]
-        out = []
-        for row in self.entries:
-            acc: list[dict] = [{} for _ in range(other.cols)]
-            for a, b_row in zip(row, sparse):
-                for w1, c1 in a.terms.items():
-                    for j, b_terms in b_row:
-                        for w2, c2 in b_terms.items():
-                            _add_term(f, acc[j], w1 + w2, f.mul(c1, c2))
-            out.append([FreePoly(self.algebra, d) for d in acc])
-        return FreeMat._of(self.algebra, out, other.cols)
+        prod = _product(self.algebra.field, _nonzero(self), _nonzero(other))
+        return FreeMat._of(self.algebra, [[FreePoly(self.algebra, prod.get((i, j), {}))
+                                           for j in range(other.cols)]
+                                          for i in range(self.rows)], other.cols)
 
     def scale(self, p) -> "FreeMat":
         if not isinstance(p, FreePoly):
@@ -421,6 +413,28 @@ class FreeMat:
     def __repr__(self):
         body = "; ".join(", ".join(p.to_text() for p in row) for row in self.entries)
         return f"FreeMat({self.rows}x{self.cols}: {body})"
+
+
+def _nonzero(m: FreeMat) -> dict[tuple[int, int], dict]:
+    """The nonzero entries of m as {(i, j): terms}, row by row."""
+    return {(i, j): p.terms for i, row in enumerate(m.entries)
+            for j, p in enumerate(row) if p.terms}
+
+
+def _product(f, a: dict, b: dict) -> dict[tuple[int, int], dict]:
+    """The nonzero entries of the product of two matrices over a free
+    algebra with field f, each given by its nonzero entries (_nonzero)."""
+    b_rows: dict[int, list] = {}
+    for (k, j), terms in b.items():
+        b_rows.setdefault(k, []).append((j, terms))
+    out: dict[tuple[int, int], dict] = {}
+    for (i, k), t1 in a.items():
+        for j, t2 in b_rows.get(k, ()):
+            acc = out.setdefault((i, j), {})
+            for w1, c1 in t1.items():
+                for w2, c2 in t2.items():
+                    _add_term(f, acc, w1 + w2, f.mul(c1, c2))
+    return {ij: t for ij, t in out.items() if t}
 
 
 class IdealGens:
@@ -784,14 +798,25 @@ def _rewrite(algebra: FreeAlgebra, rules: dict[Word, tuple[dict, dict]],
 
     The largest word still pending is rewritten at the leftmost leading word
     it contains, or kept in nf when it contains none.  Each word is thus
-    rewritten one fixed way, and nf and combo are linear in terms."""
+    rewritten one fixed way, and nf and combo are linear in terms.  A heap
+    of negated monomial keys, one per word joining pending, yields the
+    largest word first; entries of words since cancelled are skipped."""
     f = algebra.field
     lengths = sorted({len(lead) for lead in rules})
     nf: dict = {}
     combo: dict = {}
     pending = dict(terms)
-    while pending:
-        w = max(pending, key=algebra.monomial_key)
+
+    def entry(w):
+        size, index = algebra.monomial_key(w)
+        return -size, tuple(-i for i in index), w
+
+    heap = [entry(w) for w in pending]
+    heapq.heapify(heap)
+    while heap:
+        w = heapq.heappop(heap)[2]
+        if w not in pending:
+            continue
         c = pending.pop(w)
         hit = next(((k, n) for k in range(len(w)) for n in lengths if w[k:k + n] in rules),
                    None)
@@ -802,7 +827,10 @@ def _rewrite(algebra: FreeAlgebra, rules: dict[Word, tuple[dict, dict]],
         left, right = w[:k], w[k + n:]
         tail, rule_combo = rules[w[k:k + n]]
         for t, tc in tail.items():
-            _add_term(f, pending, left + t + right, f.mul(c, tc))
+            u = left + t + right
+            if u not in pending:
+                heapq.heappush(heap, entry(u))
+            _add_term(f, pending, u, f.mul(c, tc))
         _shift_add(f, combo, rule_combo, left, right, c)
     return nf, combo
 

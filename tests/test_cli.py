@@ -376,6 +376,21 @@ class TestMalformedHom:
         hom.write_text(json.dumps(data))
         self.assert_input_error(capsys, hom)
 
+    @pytest.mark.parametrize("text, message", [
+        ("2 x", "cannot parse 'x' at position 2"),
+        ("q", "letter 'q' not in alphabet"),
+    ], ids=["missing-star", "unknown-letter"])
+    def test_bad_entry_is_named(self, workdir, capsys, text, message):
+        hom = workdir / "brick.hom.json"
+        assert main(["build", "brick", str(workdir / "brick.rep"), "--out", str(hom)]) == 0
+        data = json.loads(hom.read_text())
+        _entry(text)(data)
+        hom.write_text(json.dumps(data))
+        self.assert_input_error(capsys, hom)
+        capsys.readouterr()
+        assert main(["verify", str(hom)]) == 2
+        assert capsys.readouterr().err == f"error: arrow_images['a'][1][0]: {message}\n"
+
     @staticmethod
     def assert_input_error(capsys, hom):
         capsys.readouterr()

@@ -30,6 +30,7 @@ from quiverepi.epibuild import (
     build_brick_hom,
     canonical_generic_hom,
     commutant_ideal_gens,
+    commutant_letters,
     convert_hom_field,
     extend_add_arrows,
     extend_invariant,
@@ -52,6 +53,7 @@ from quiverepi.quiverrep import (
     ZeroModule,
     direct_sum,
     hom_basis,
+    hom_dim,
     is_brick,
 )
 
@@ -766,8 +768,11 @@ class TestSubstitution:
         got = _substitute_freemat(mat, assignment, ell, field)
         assert (got.rows, got.cols) == (mat.rows * ell, mat.cols * ell)
         assert got.entries == tuple(map(tuple, grid))
-        assert all(type(x) is (Fraction if field == QQ else int) for row in got.entries
-                   for x in row)
+        # one exact type per value: over QQ an int when integral, else a
+        # Fraction whose denominator is not 1
+        assert all(type(x) is int or (field == QQ and type(x) is Fraction
+                                      and x.denominator != 1)
+                   for row in got.entries for x in row)
 
 
 class TestRefutation:
@@ -800,9 +805,9 @@ class TestRefutation:
     def test_letterless_trials_computed_once_per_size(self, a2_brick, monkeypatch):
         calls = []
 
-        def counted(h, loops, assignment, ell):
+        def counted(h, loops, assignment, ell, *rest):
             calls.append(ell)
-            return _trial_dims(h, loops, assignment, ell)
+            return _trial_dims(h, loops, assignment, ell, *rest)
 
         monkeypatch.setattr(epibuild, "_trial_dims", counted)
         out = specialization_refutation_test(build_brick_hom(a2_brick), trials=20,
@@ -810,6 +815,46 @@ class TestRefutation:
         assert out.passed
         assert calls == [1, 2]
         assert [(t["trial"], t["size"]) for t in out.trials] == [(t, 1 + t % 2) for t in range(20)]
+
+    def test_letter_in_an_idempotent_image_specializes_per_trial(self, kron_extension_hom,
+                                                                 monkeypatch):
+        # the Kronecker extension hom conjugated by [[1, -x], [0, 1]]: e1 =
+        # [[1, x], [0, 0]] and e2 = [[0, -x], [0, 1]] hold its letter, so no
+        # trial can reuse a layout and each one runs specialize in full
+        h = kron_extension_hom
+        alg, (name,) = h.algebra, h.algebra.letters
+        x = alg.letter(name)
+        t = FreeMat(alg, [[1, -x], [0, 1]], cols=2)
+        t_inv = FreeMat(alg, [[1, x], [0, 1]], cols=2)
+        twisted = AlgebraHom(h.source_quiver, alg, 2,
+                             {v: t * m * t_inv for v, m in h.idem_images.items()},
+                             {a: t * m * t_inv for a, m in h.arrow_images.items()})
+        assert twisted.idem_images["1"] == FreeMat(alg, [[1, x], [0, 0]], cols=2)
+        assert twisted.idem_images["2"] == FreeMat(alg, [[0, -x], [0, 1]], cols=2)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["size"])
+            return specialize(*args, **kwargs)
+
+        monkeypatch.setattr(epibuild, "specialize", counted)
+        out = specialization_refutation_test(twisted, trials=20, sizes=(1, 2), seed=4)
+        field = GF(101)
+        hs = convert_hom_field(twisted, field)
+        loops = Quiver(["*"], [(name, "*", "*")], require_acyclic=False)
+        rng = random.Random(4)
+        expected = []
+        for trial in range(20):
+            ell = 1 + trial % 2
+            mats = {name: ExactMatrix(field, [[rng.randrange(101) for _ in range(ell)]
+                                              for _ in range(ell)], cols=ell)}
+            rep = specialize(hs, mats, size=ell)
+            letters = Representation(loops, {"*": ell}, mats, field=field)
+            expected.append({"trial": trial, "size": ell, "dim_path_algebra": hom_dim(rep, rep),
+                             "dim_matrix_algebra": hom_dim(letters, letters)})
+        assert out.passed
+        assert out.trials == expected
+        assert calls == [1 + trial % 2 for trial in range(20)]
 
     def test_deterministic(self, a2_brick):
         h = build_brick_hom(a2_brick)
@@ -972,3 +1017,106 @@ class TestFieldConversion:
         h = AlgebraHom(a2, alg, 2, {"1": e1, "2": e2}, {"a": FreeMat.zeros(alg, 2, 2)})
         with pytest.raises(InvalidHom, match="not idempotent"):
             convert_hom_field(h, QQ)
+
+
+def reference_validate(h):
+    """The path-algebra checks of AlgebraHom._validate as dense FreeMat
+    products, as it ran before it read only the images' nonzero entries."""
+    n, q = h.size, h.source_quiver
+    idems = [h.idem_images[v] for v in q.vertices]
+    for v, e in zip(q.vertices, idems):
+        if e * e != e:
+            raise InvalidHom(f"idempotent image of vertex {v!r} is not idempotent")
+    for i, v in enumerate(q.vertices):
+        for j, w in enumerate(q.vertices):
+            if i != j and not (idems[i] * idems[j]).is_zero():
+                raise InvalidHom(f"idempotent images of {v!r} and {w!r} are not orthogonal")
+    total = FreeMat.zeros(h.algebra, n, n)
+    for e in idems:
+        total = total + e
+    if total != FreeMat.identity(h.algebra, n):
+        raise InvalidHom("idempotent images do not sum to the identity")
+    for a in q.arrows:
+        img = h.arrow_images[a.name]
+        if h.idem_images[a.target] * img * h.idem_images[a.source] != img:
+            raise InvalidHom(f"arrow {a.name!r} image is not supported in block "
+                             f"({a.target!r}, {a.source!r})")
+
+
+def reference_commutant_gens(h):
+    """The commutant generators as dense FreeMat products: the nonzero
+    entries of V*g - g*V, g over the vertex images then the arrow images."""
+    n = h.size
+    combined = FreeAlgebra(h.field, list(h.algebra.letters) + commutant_letters(n))
+    v = FreeMat(combined, [[combined.letter(f"v{i}_{j}") for j in range(1, n + 1)]
+                           for i in range(1, n + 1)], cols=n)
+    gens = {}
+    images = [h.idem_images[x] for x in h.source_quiver.vertices]
+    images += [h.arrow_images[a.name] for a in h.source_quiver.arrows]
+    for g in images:
+        ge = FreeMat(combined, [[combined.embed(p) for p in row] for row in g.entries], cols=n)
+        for row in (v * ge - ge * v).entries:
+            for p in row:
+                if p.terms:
+                    gens.setdefault(p)
+    return list(gens)
+
+
+FAMILY_COEFFS = st.sampled_from([-1, 1, 2, Fraction(1, 2)])
+FAMILY_WORDS = st.sampled_from([(), ("x",), ("y",), ("x", "y"), ("y", "x")])
+
+
+@st.composite
+def image_families(draw):
+    """An unchecked hom from a SHAPES quiver into M_n(k<x, y>): its
+    canonical generic hom under a drawn substitution, which is valid; then
+    maybe conjugated by I + c*x*E_ij (i != j), still valid but off the
+    standard layout; then maybe one entry of one image redrawn, which mostly
+    breaks a relation."""
+    field = draw(st.sampled_from([QQ, GF(101)]))
+    q, dims_choices = draw(st.sampled_from(SHAPES))
+    alg = FreeAlgebra(field, ["x", "y"])
+    polys = st.dictionaries(FAMILY_WORDS, FAMILY_COEFFS, max_size=2).map(alg.poly)
+    canonical = canonical_generic_hom(q, draw(st.sampled_from(dims_choices)), field=field)
+    h = substitute_letters(canonical, {x: draw(polys) for x in canonical.algebra.letters}, alg)
+    n = h.size
+    idems, arrows = dict(h.idem_images), dict(h.arrow_images)
+    if draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = FreeMat.unit(alg, n, i, j).scale(alg.poly({("x",): draw(FAMILY_COEFFS)}))
+        t, t_inv = FreeMat.identity(alg, n) + c, FreeMat.identity(alg, n) - c
+        idems = {v: t * m * t_inv for v, m in idems.items()}
+        arrows = {a: t * m * t_inv for a, m in arrows.items()}
+    if draw(st.booleans()):
+        images = arrows if draw(st.booleans()) else idems
+        name = draw(st.sampled_from(sorted(images)))
+        rows = [list(row) for row in images[name].entries]
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(polys)
+        images[name] = FreeMat(alg, rows, cols=n)
+    return AlgebraHom._of(q, alg, n, idems, arrows, None, "family")
+
+
+def validation_outcome(check):
+    """None when check() passes, else its InvalidHom message."""
+    try:
+        check()
+    except InvalidHom as exc:
+        return str(exc)
+    return None
+
+
+class TestSparseImagePasses:
+    """_validate and commutant_ideal_gens read only the images' nonzero
+    entries; both agree with the dense FreeMat products they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(image_families())
+    def test_validate_matches_dense_reference(self, h):
+        assert validation_outcome(h._validate) == validation_outcome(lambda: reference_validate(h))
+
+    @settings(max_examples=100, deadline=None)
+    @given(image_families())
+    def test_commutant_gens_match_dense_reference(self, h):
+        _, gens = commutant_ideal_gens(h)
+        assert [list(g.terms.items()) for g in gens.generators] == \
+            [list(g.terms.items()) for g in reference_commutant_gens(h)]

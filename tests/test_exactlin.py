@@ -398,6 +398,12 @@ def ref_inverse(f, a, n):
     return tuple(row[n:] for row in reduced)
 
 
+def is_canonical_rational(x) -> bool:
+    """QQ's one form per value: an int when integral, else a Fraction whose
+    denominator is not 1."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
 def assert_canonical(mat):
     """The internal constructor's contract: canonical entries, exact shape."""
     assert len(mat.entries) == mat.rows
@@ -405,9 +411,46 @@ def assert_canonical(mat):
         assert type(row) is tuple and len(row) == mat.cols
         for x in row:
             if mat.field == QQ:
-                assert type(x) is Fraction
+                assert is_canonical_rational(x)
             else:
                 assert type(x) is int and 0 <= x < mat.field.p
+
+
+RATIONALS = st.builds(Fraction, st.integers(-12, 12),
+                      st.sampled_from([1, 1, 2, 3, 4, 6])).map(QQ.coerce)
+
+
+class TestCanonicalRationals:
+    """QQ keeps one form per value: every RationalField operation returns an
+    int when the value is integral, else a Fraction whose denominator is not
+    1, and agrees with plain Fraction arithmetic."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(RATIONALS, RATIONALS, st.lists(st.tuples(RATIONALS, RATIONALS), max_size=4))
+    def test_operations_return_the_canonical_form(self, a, b, pairs):
+        fa, fb = Fraction(a), Fraction(b)
+        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+        checks = [
+            (QQ.coerce(fa), fa), (QQ.coerce(str(fa)), fa), (QQ.coerce(fa.numerator), fa.numerator),
+            (QQ.zero(), 0), (QQ.one(), 1), (QQ.coerce(True), 1),
+            (QQ.add(a, b), fa + fb), (QQ.sub(a, b), fa - fb), (QQ.mul(a, b), fa * fb),
+            (QQ.neg(a), -fa),
+            (QQ.dot(xs, ys), sum((Fraction(x) * y for x, y in pairs), Fraction(0))),
+        ]
+        checks += zip(QQ.row_sub(xs, a, ys), [x - fa * y for x, y in pairs])
+        checks += zip(QQ.row_scale(a, xs), [fa * x for x in xs])
+        if b:
+            checks += [(QQ.div(a, b), fa / fb), (QQ.inv(b), 1 / fb)]
+        for got, want in checks:
+            assert is_canonical_rational(got)
+            assert got == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(RATIONALS, min_size=3, max_size=3), max_size=4))
+    def test_eliminate_returns_the_canonical_form(self, rows):
+        reduced, pivots = QQ.eliminate(rows, 3)
+        assert all(is_canonical_rational(x) for row in reduced for x in row)
+        assert (tuple(map(tuple, reduced)), pivots) == ref_rref(QQ, rows, 3)
 
 
 FIELDS = st.sampled_from([QQ, GF(101)])
