@@ -44,9 +44,6 @@ from .freealg import (
     FreePoly,
     IdealGens,
     PolyParseError,
-    _add_term,
-    _nonzero,
-    _product,
     decide_memberships,
     default_degree_bound,
 )
@@ -176,8 +173,9 @@ class AlgebraHom:
         return h
 
     def _validate(self):
-        """Raise InvalidHom on the first relation the images' nonzero entries break."""
-        n, f = self.size, self.field
+        """Raise InvalidHom on the first missing or misshapen image, or on the
+        first path-algebra relation the images break."""
+        n = self.size
         for v in self.source_quiver.vertices:
             if v not in self.idem_images:
                 raise InvalidHom(f"missing idempotent image for vertex {v!r}")
@@ -189,24 +187,20 @@ class AlgebraHom:
                 raise InvalidHom(f"image of {name!r} is {m.rows}x{m.cols}, expected {n}x{n}")
             if m.algebra != self.algebra:
                 raise InvalidHom(f"image of {name!r} lives over a different algebra")
-        idems = {v: _nonzero(self.idem_images[v]) for v in self.source_quiver.vertices}
+        idems = {v: self.idem_images[v] for v in self.source_quiver.vertices}
         for v, e in idems.items():
-            if _product(f, e, e) != e:
+            if e * e != e:
                 raise InvalidHom(f"idempotent image of vertex {v!r} is not idempotent")
         for v, e in idems.items():
             for w, e2 in idems.items():
-                if v != w and _product(f, e, e2):
+                if v != w and not (e * e2).is_zero():
                     raise InvalidHom(f"idempotent images of {v!r} and {w!r} are not orthogonal")
-        total: dict = {}
-        for e in idems.values():
-            for ij, terms in e.items():
-                for w, c in terms.items():
-                    _add_term(f, total.setdefault(ij, {}), w, c)
-        if {ij: t for ij, t in total.items() if t} != {(i, i): {(): f.one()} for i in range(n)}:
+        total = sum(idems.values(), FreeMat.zeros(self.algebra, n, n))
+        if total != FreeMat.identity(self.algebra, n):
             raise InvalidHom("idempotent images do not sum to the identity")
         for a in self.source_quiver.arrows:
-            img = _nonzero(self.arrow_images[a.name])
-            if _product(f, _product(f, idems[a.target], img), idems[a.source]) != img:
+            img = self.arrow_images[a.name]
+            if idems[a.target] * img * idems[a.source] != img:
                 raise InvalidHom(
                     f"arrow {a.name!r} image is not supported in block "
                     f"({a.target!r}, {a.source!r})"
@@ -233,11 +227,11 @@ class AlgebraHom:
         diagonal identity block at the running offset in declared vertex
         order.
         """
-        one = {(): self.field.one()}
+        one = self.algebra.one()
         dims = {}
         offset = 0
         for v in self.source_quiver.vertices:
-            e = _nonzero(self.idem_images[v])
+            e = self.idem_images[v].nonzero
             k = 0
             while e.get((offset + k, offset + k)) == one:
                 k += 1
@@ -258,11 +252,12 @@ class AlgebraHom:
         lay = block_layout(self.source_quiver, dims)
         blocks = {}
         for a in self.source_quiver.arrows:
-            img = self.arrow_images[a.name].entries
-            cols = lay.block_range(a.source)
-            blocks[a.name] = FreeMat._of(self.algebra, [[img[i][j] for j in cols]
-                                                        for i in lay.block_range(a.target)],
-                                         len(cols))
+            rows, cols = lay.block_range(a.target), lay.block_range(a.source)
+            blocks[a.name] = FreeMat._of(
+                self.algebra, len(rows), len(cols),
+                {(i - rows.start, j - cols.start): p
+                 for (i, j), p in self.arrow_images[a.name].nonzero.items()
+                 if i in rows and j in cols})
         return dims, blocks
 
     def to_json_dict(self) -> dict:
@@ -603,19 +598,15 @@ def canonical_generic_hom(q: Quiver, dims: dict[str, int], field=QQ) -> AlgebraH
               (layout.offsets[a.target] + i, layout.offsets[a.source] + j, a.name)
               for a in q.arrows for i in range(dims[a.target]) for j in range(dims[a.source])}
     algebra = FreeAlgebra(field, coords)
-    zero, one = algebra.zero(), algebra.one()
-
-    def image(cells: dict[tuple[int, int], FreePoly]) -> FreeMat:
-        return FreeMat._of(algebra, [[cells.get((i, j), zero) for j in range(n)]
-                                     for i in range(n)], n)
-
+    one = algebra.one()
     cells: dict[str, dict] = {a.name: {} for a in q.arrows}
     for x, (i, j, arrow) in coords.items():
         cells[arrow][i, j] = algebra.letter(x)
     return AlgebraHom._of(q, algebra, n,
-                          {v: image({(i, i): one for i in layout.block_range(v)})
+                          {v: FreeMat._of(algebra, n, n,
+                                          {(i, i): one for i in layout.block_range(v)})
                            for v in q.vertices},
-                          {name: image(c) for name, c in cells.items()},
+                          {name: FreeMat._of(algebra, n, n, c) for name, c in cells.items()},
                           coords, "canonical")
 
 
@@ -677,12 +668,11 @@ def _map_images(h: AlgebraHom, algebra: FreeAlgebra, entry_map,
     on a denominator divisible by p).  A ring map keeps the path-algebra
     relations h was validated for, so they are not multiplied out again.
     Carrying GF(p) residues into another field is not a ring map, so such a
-    hom is validated anew.  Zero entries map to zero without a call."""
-    zero = algebra.zero()
+    hom is validated anew.  Only the nonzero entries are mapped."""
 
     def convert(mat: FreeMat) -> FreeMat:
-        return FreeMat._of(algebra, [[entry_map(p) if p.terms else zero for p in row]
-                                     for row in mat.entries], mat.cols)
+        return FreeMat._of(algebra, mat.rows, mat.cols,
+                           {ij: entry_map(p) for ij, p in mat.nonzero.items()})
 
     idem_images = {v: convert(m) for v, m in h.idem_images.items()}
     arrow_images = {a: convert(m) for a, m in h.arrow_images.items()}
@@ -731,11 +721,8 @@ def localisation_presentation(q_prime: Quiver, arrow_paths: dict[str, list[str]]
         prod = canonical.arrow_images[path[0]]
         for e in path[1:]:
             prod = canonical.arrow_images[e] * prod
-        diff = prod - f_hom.arrow_images[a.name]
-        for row in diff.entries:
-            for p in row:
-                if not p.is_zero():
-                    gens.setdefault(p)
+        for p in (prod - f_hom.arrow_images[a.name]).nonzero.values():
+            gens.setdefault(p)
     return canonical, IdealGens(alg, gens)
 
 
@@ -777,28 +764,15 @@ def commutant_ideal_gens(h: AlgebraHom) -> tuple[FreeAlgebra, IdealGens]:
         if name in h.algebra.letters:
             raise AlphabetMismatch(f"hom alphabet already contains reserved letter {name!r}")
     combined = FreeAlgebra(h.field, list(h.algebra.letters) + v_names)
-    f = h.field
-    letter = [[(v_names[i * n + j],) for j in range(n)] for i in range(n)]
+    V = FreeMat._of(combined, n, n, {(i, j): combined.letter(v_names[i * n + j])
+                                     for i in range(n) for j in range(n)})
     gens: dict[FreePoly, None] = {}  # insertion-ordered set
     images = [h.idem_images[v] for v in h.source_quiver.vertices]
     images += [h.arrow_images[a.name] for a in h.source_quiver.arrows]
     for g in images:
-        # (i, j) gains v_ik g_kj for each nonzero g_kj, then loses g_ik v_kj
-        # for each nonzero g_ik, k ascending: the term order of V*g - g*V
-        comm = [[{} for _ in range(n)] for _ in range(n)]
-        entries = _nonzero(g)
-        for (k, j), terms in entries.items():
-            for i in range(n):
-                for w, c in terms.items():
-                    _add_term(f, comm[i][j], letter[i][k] + w, c)
-        for (i, k), terms in entries.items():
-            for j in range(n):
-                for w, c in terms.items():
-                    _add_term(f, comm[i][j], w + letter[k][j], f.neg(c))
-        for row in comm:
-            for terms in row:
-                if terms:
-                    gens.setdefault(FreePoly(combined, terms))
+        g = FreeMat._of(combined, n, n, {ij: combined.embed(p) for ij, p in g.nonzero.items()})
+        for p in (V * g - g * V).nonzero.values():
+            gens.setdefault(p)
     return combined, IdealGens(combined, gens)
 
 
@@ -908,21 +882,20 @@ def _substitute_freemat(mat: FreeMat, assignment: dict[str, ExactMatrix],
     add, mul = field.add, field.mul
     n_cols = mat.cols * ell
     grid = [[field.zero()] * n_cols for _ in range(mat.rows * ell)]
-    for i, row in enumerate(mat.entries):
+    for (i, j), poly in mat.nonzero.items():
         block = grid[i * ell:(i + 1) * ell]
-        for j, poly in enumerate(row):
-            j0 = j * ell
-            for w, c in poly.terms.items():
-                c = field.coerce(c)
-                if not w:
-                    for p, g in enumerate(block):
-                        g[j0 + p] = add(g[j0 + p], c)
-                    continue
-                m = reduce(ExactMatrix.__mul__, [assignment[x] for x in w])
-                for g, w_row in zip(block, m.entries):
-                    for k, x in enumerate(w_row, j0):
-                        if x:
-                            g[k] = add(g[k], mul(c, x))
+        j0 = j * ell
+        for w, c in poly.terms.items():
+            c = field.coerce(c)
+            if not w:
+                for p, g in enumerate(block):
+                    g[j0 + p] = add(g[j0 + p], c)
+                continue
+            m = reduce(ExactMatrix.__mul__, [assignment[x] for x in w])
+            for g, w_row in zip(block, m.entries):
+                for k, x in enumerate(w_row, j0):
+                    if x:
+                        g[k] = add(g[k], mul(c, x))
     return ExactMatrix._of(field, grid, n_cols)
 
 
@@ -935,8 +908,7 @@ def specialize(h: AlgebraHom, assignment: dict[str, ExactMatrix],
     summing to the identity, so the idempotent-diagonalization algorithm
     turns them into coordinate blocks; the dimension vector is read off the
     block ranks (size * alpha exactly) and each arrow acts by its block of
-    the conjugated substituted image.  For the standard-layout homs built
-    here the conjugator is the identity.
+    the conjugated substituted image.
     """
     letters = h.algebra.letters
     missing = [x for x in letters if x not in assignment]
@@ -966,10 +938,7 @@ def specialize(h: AlgebraHom, assignment: dict[str, ExactMatrix],
     subst_idems = [_substitute_freemat(h.idem_images[v], assignment, ell, field)
                    for v in q.vertices]
     u, block_ranks = idempotent_diagonalize(subst_idems)
-    # a standard-layout hom needs no conjugation: u is the identity
-    conjugate = not u.is_identity()
-    if conjugate:
-        u_inv = solve_or_invert(u)
+    u_inv = solve_or_invert(u)
     dims = {v: r for v, r in zip(q.vertices, block_ranks)}
     offsets = {}
     acc = 0
@@ -978,9 +947,7 @@ def specialize(h: AlgebraHom, assignment: dict[str, ExactMatrix],
         acc += dims[v]
     maps = {}
     for a in q.arrows:
-        conj = _substitute_freemat(h.arrow_images[a.name], assignment, ell, field)
-        if conjugate:
-            conj = u_inv * conj * u
+        conj = u_inv * _substitute_freemat(h.arrow_images[a.name], assignment, ell, field) * u
         rows = range(offsets[a.target], offsets[a.target] + dims[a.target])
         cols = range(offsets[a.source], offsets[a.source] + dims[a.source])
         maps[a.name] = conj.submatrix(rows, cols)
@@ -994,9 +961,9 @@ def _trial_dims(h: AlgebraHom, loops: Quiver, assignment: dict[str, ExactMatrix]
     one-vertex module on the loop quiver `loops`, one loop per letter acting
     by its matrix.
 
-    standard, h.standard_blocks() if h has the standard layout, skips
-    specialize: the idempotent images become e_v (x) I_ell under every
-    assignment, so each arrow acts by its substituted block alone."""
+    standard, _standard_blocks(h), skips specialize when it is not None:
+    the idempotent images become e_v (x) I_ell under every assignment, so
+    each arrow acts by its substituted block alone."""
     if standard is None:
         rep = specialize(h, assignment, size=ell)
     else:
@@ -1014,11 +981,20 @@ def _trial_dims(h: AlgebraHom, loops: Quiver, assignment: dict[str, ExactMatrix]
     return dim_path, dim_matrix
 
 
+def _standard_blocks(h: AlgebraHom):
+    """h.standard_blocks(), or None when h is not in the standard layout
+    (letters or a conjugated layout in its idempotent images)."""
+    try:
+        return h.standard_blocks()
+    except LayoutMismatch:
+        return None
+
+
 def _specialization_prime(h: AlgebraHom) -> int:
     """The smallest prime >= 101 dividing no coefficient denominator of h."""
     denominators = {c.denominator
                     for m in list(h.idem_images.values()) + list(h.arrow_images.values())
-                    for row in m.entries for poly in row for c in poly.terms.values()}
+                    for poly in m.nonzero.values() for c in poly.terms.values()}
     p = 101
     while not is_prime(p) or any(d % p == 0 for d in denominators):
         p += 1
@@ -1074,10 +1050,7 @@ def specialization_refutation_test(h: AlgebraHom, trials: int = 20,
 
     field = h.field if h.field != QQ else GF(_specialization_prime(h))
     hs = convert_hom_field(h, field)
-    try:
-        standard = hs.standard_blocks()
-    except LayoutMismatch:  # letters or a conjugated layout in the idempotent images
-        standard = None
+    standard = _standard_blocks(hs)
     loops = Quiver(["*"], [(x, "*", "*") for x in h.algebra.letters], require_acyclic=False)
     rng = random.Random(seed)
     sizes = list(sizes)
@@ -1101,7 +1074,8 @@ def specialization_refutation_test(h: AlgebraHom, trials: int = 20,
                 modular = {"prime": field.p, "dim_path_algebra": dim_path,
                            "dim_matrix_algebra": dim_matrix}
                 dim_path, dim_matrix = _trial_dims(
-                    h, loops, {x: m.convert(h.field) for x, m in assignment.items()}, ell)
+                    h, loops, {x: m.convert(h.field) for x, m in assignment.items()}, ell,
+                    _standard_blocks(h))
                 if dim_path > dim_matrix:
                     modular = None
             done[key] = (dim_path, dim_matrix, modular)

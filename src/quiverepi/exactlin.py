@@ -423,9 +423,6 @@ class ExactMatrix:
     def is_zero(self) -> bool:
         return not any(map(any, self.entries))
 
-    def is_identity(self) -> bool:
-        return self.rows == self.cols and _is_block_identity(self, 0, self.rows)
-
     def __eq__(self, other):
         return (
             isinstance(other, ExactMatrix)
@@ -514,16 +511,6 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols}: {body})"
 
 
-def _is_block_identity(m: ExactMatrix, start: int, stop: int) -> bool:
-    """Whether the square matrix m is the 0/1 diagonal matrix with ones at
-    positions start..stop-1, read entry by entry in place."""
-    one = m.field.one()
-    for i, row in enumerate(m.entries):
-        if ((row[i] != one) if start <= i < stop else row[i]) or any(row[:i]) or any(row[i + 1:]):
-            return False
-    return True
-
-
 def rref(m: ExactMatrix) -> tuple[ExactMatrix, list[int]]:
     """Reduced row echelon form and pivot column list (fixed pivot rule),
     by the field's own elimination."""
@@ -591,11 +578,6 @@ def idempotent_diagonalize(idems: Sequence[ExactMatrix]) -> tuple[ExactMatrix, l
     bases, so the output is deterministic); rank-0 summands contribute
     zero-width column groups.
 
-    A family that already is that layout (consecutive 0/1 diagonal blocks
-    covering 0..n-1, rank-0 blocks included) satisfies every precondition,
-    and its pivot columns are the unit vectors, so it returns (I, ranks)
-    at once.
-
     Raises NotIdempotentFamily naming the first violated precondition.
     """
     if not idems:
@@ -609,20 +591,6 @@ def idempotent_diagonalize(idems: Sequence[ExactMatrix]) -> tuple[ExactMatrix, l
             )
         if e.field != field:
             raise NotIdempotentFamily(f"matrix {k} lives over a different field")
-
-    one = field.one()
-    offset, block_ranks = 0, []
-    for e in idems:
-        stop = offset
-        while stop < n and e.entries[stop][stop] == one:
-            stop += 1
-        if not _is_block_identity(e, offset, stop):
-            break
-        block_ranks.append(stop - offset)
-        offset = stop
-    else:
-        if offset == n:
-            return ExactMatrix.identity(field, n), block_ranks
 
     for k, e in enumerate(idems):
         if e * e != e:

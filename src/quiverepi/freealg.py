@@ -293,68 +293,67 @@ class FreePoly:
 
 
 class FreeMat:
-    """A matrix over a free algebra; shape-consistent arithmetic only."""
+    """A matrix over a free algebra; shape-consistent arithmetic only.
 
-    __slots__ = ("algebra", "rows", "cols", "entries")
+    Only the nonzero entries are stored: nonzero maps (i, j) to the entry
+    at row i, column j, its keys in row-major order, and every result keeps
+    that order."""
+
+    __slots__ = ("algebra", "rows", "cols", "nonzero")
 
     def __init__(self, algebra: FreeAlgebra, entries, cols: int | None = None):
-        self.algebra = algebra
-        grid = []
-        for row in entries:
-            out = []
-            for x in row:
-                if isinstance(x, FreePoly):
-                    if x.algebra != algebra:
-                        raise AlphabetMismatch("entry from a different free algebra")
-                    out.append(x)
-                else:
-                    out.append(algebra.scalar(x))
-            grid.append(tuple(out))
-        self.rows = len(grid)
-        if self.rows:
-            self.cols = len(grid[0])
-            if any(len(r) != self.cols for r in grid):
-                raise ShapeMismatch("ragged rows")
-        else:
-            self.cols = 0 if cols is None else cols
-        if cols is not None and self.cols != cols:
-            raise ShapeMismatch(f"expected {cols} columns, got {self.cols}")
-        self.entries = tuple(grid)
+        grid = [tuple(row) for row in entries]
+        width = len(grid[0]) if grid else (0 if cols is None else cols)
+        if any(len(r) != width for r in grid):
+            raise ShapeMismatch("ragged rows")
+        if cols is not None and width != cols:
+            raise ShapeMismatch(f"expected {cols} columns, got {width}")
+        nonzero = {}
+        for i, row in enumerate(grid):
+            for j, x in enumerate(row):
+                if not isinstance(x, FreePoly):
+                    x = algebra.scalar(x)
+                elif x.algebra != algebra:
+                    raise AlphabetMismatch("entry from a different free algebra")
+                if x.terms:
+                    nonzero[i, j] = x
+        self.algebra, self.rows, self.cols, self.nonzero = algebra, len(grid), width, nonzero
 
     @classmethod
-    def _of(cls, algebra, entries, cols: int) -> "FreeMat":
-        """A matrix from rows of polynomials over algebra, each row of length
-        cols: no algebra check, no shape check."""
+    def _of(cls, algebra, rows: int, cols: int, cells: dict) -> "FreeMat":
+        """A rows x cols matrix from {(i, j): polynomial over algebra} with
+        keys in range: no algebra check, no shape check.  Zero polynomials
+        are dropped and the rest put in row-major order."""
         m = object.__new__(cls)
-        m.algebra = algebra
-        m.entries = tuple(map(tuple, entries))
-        m.rows = len(m.entries)
-        m.cols = cols
+        m.algebra, m.rows, m.cols = algebra, rows, cols
+        m.nonzero = {ij: cells[ij] for ij in sorted(cells) if cells[ij].terms}
         return m
 
     @classmethod
     def zeros(cls, algebra, rows, cols):
-        z = algebra.zero()
-        return cls(algebra, [[z] * cols for _ in range(rows)], cols=cols)
+        return cls._of(algebra, rows, cols, {})
 
     @classmethod
     def identity(cls, algebra, n):
-        z, o = algebra.zero(), algebra.one()
-        return cls(algebra, [[o if i == j else z for j in range(n)] for i in range(n)], cols=n)
+        return cls._of(algebra, n, n, {(i, i): algebra.one() for i in range(n)})
 
     @classmethod
     def unit(cls, algebra, n, i, j):
         """The matrix unit e_ij (1 at position (i, j), 0-based)."""
-        z = algebra.zero()
-        grid = [[z] * n for _ in range(n)]
-        grid[i][j] = algebra.one()
-        return cls(algebra, grid, cols=n)
+        return cls._of(algebra, n, n, {(i, j): algebra.one()})
+
+    @property
+    def entries(self) -> tuple[tuple[FreePoly, ...], ...]:
+        """The dense rows, zeros included: a read-only view."""
+        z = self.algebra.zero()
+        return tuple(tuple(self.nonzero.get((i, j), z) for j in range(self.cols))
+                     for i in range(self.rows))
 
     def entry(self, i, j) -> FreePoly:
-        return self.entries[i][j]
+        return self.nonzero.get((i, j), self.algebra.zero())
 
     def is_zero(self) -> bool:
-        return all(p.is_zero() for row in self.entries for p in row)
+        return not self.nonzero
 
     def __eq__(self, other):
         return (
@@ -362,27 +361,26 @@ class FreeMat:
             and self.algebra == other.algebra
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.nonzero == other.nonzero
         )
 
     def __add__(self, other):
         self._check_shape(other)
-        return FreeMat(self.algebra,
-                       [[a + b for a, b in zip(ra, rb)]
-                        for ra, rb in zip(self.entries, other.entries)],
-                       cols=self.cols)
+        out = dict(self.nonzero)
+        for ij, p in other.nonzero.items():
+            out[ij] = out[ij] + p if ij in out else p
+        return FreeMat._of(self.algebra, self.rows, self.cols, out)
 
     def __sub__(self, other):
-        self._check_shape(other)
-        return FreeMat(self.algebra,
-                       [[a - b for a, b in zip(ra, rb)]
-                        for ra, rb in zip(self.entries, other.entries)],
-                       cols=self.cols)
+        return self + -other
 
     def __neg__(self):
-        return FreeMat(self.algebra, [[-p for p in row] for row in self.entries], cols=self.cols)
+        return FreeMat._of(self.algebra, self.rows, self.cols,
+                           {ij: -p for ij, p in self.nonzero.items()})
 
     def __mul__(self, other):
+        """The product, each entry's terms added in the order of its
+        summands a_ik b_kj, k ascending."""
         if not isinstance(other, FreeMat):
             return NotImplemented
         if self.algebra != other.algebra:
@@ -391,16 +389,25 @@ class FreeMat:
             raise ShapeMismatch(
                 f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}"
             )
-        prod = _product(self.algebra.field, _nonzero(self), _nonzero(other))
-        return FreeMat._of(self.algebra, [[FreePoly(self.algebra, prod.get((i, j), {}))
-                                           for j in range(other.cols)]
-                                          for i in range(self.rows)], other.cols)
+        f = self.algebra.field
+        other_rows: dict[int, list] = {}
+        for (k, j), p in other.nonzero.items():
+            other_rows.setdefault(k, []).append((j, p.terms))
+        out: dict[tuple[int, int], dict] = {}
+        for (i, k), p in self.nonzero.items():
+            for j, t2 in other_rows.get(k, ()):
+                acc = out.setdefault((i, j), {})
+                for w1, c1 in p.terms.items():
+                    for w2, c2 in t2.items():
+                        _add_term(f, acc, w1 + w2, f.mul(c1, c2))
+        return FreeMat._of(self.algebra, self.rows, other.cols,
+                           {ij: FreePoly(self.algebra, t) for ij, t in out.items()})
 
     def scale(self, p) -> "FreeMat":
         if not isinstance(p, FreePoly):
             p = self.algebra.scalar(p)
-        return FreeMat(self.algebra, [[p * x for x in row] for row in self.entries],
-                       cols=self.cols)
+        return FreeMat._of(self.algebra, self.rows, self.cols,
+                           {ij: p * x for ij, x in self.nonzero.items()})
 
     def _check_shape(self, other):
         if self.algebra != other.algebra:
@@ -413,28 +420,6 @@ class FreeMat:
     def __repr__(self):
         body = "; ".join(", ".join(p.to_text() for p in row) for row in self.entries)
         return f"FreeMat({self.rows}x{self.cols}: {body})"
-
-
-def _nonzero(m: FreeMat) -> dict[tuple[int, int], dict]:
-    """The nonzero entries of m as {(i, j): terms}, row by row."""
-    return {(i, j): p.terms for i, row in enumerate(m.entries)
-            for j, p in enumerate(row) if p.terms}
-
-
-def _product(f, a: dict, b: dict) -> dict[tuple[int, int], dict]:
-    """The nonzero entries of the product of two matrices over a free
-    algebra with field f, each given by its nonzero entries (_nonzero)."""
-    b_rows: dict[int, list] = {}
-    for (k, j), terms in b.items():
-        b_rows.setdefault(k, []).append((j, terms))
-    out: dict[tuple[int, int], dict] = {}
-    for (i, k), t1 in a.items():
-        for j, t2 in b_rows.get(k, ()):
-            acc = out.setdefault((i, j), {})
-            for w1, c1 in t1.items():
-                for w2, c2 in t2.items():
-                    _add_term(f, acc, w1 + w2, f.mul(c1, c2))
-    return {ij: t for ij, t in out.items() if t}
 
 
 class IdealGens:

@@ -1,8 +1,10 @@
+import ast
 import hashlib
 import itertools
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -486,6 +488,16 @@ class TestPresentation:
         # alpha_2 = 0 the path image is zero, so the generator is -1 at the
         # (3,1) block... the whole entry reduces to the constant -1
         assert [g.to_text() for g in gens.generators] == ["-1"]
+
+    def test_several_generators_keep_their_order(self, kronecker):
+        # the (1, 2) brick of the Kronecker quiver, its arrows sent to the
+        # paths c and a of the 3-Kronecker quiver: one generator per nonzero
+        # entry of q(path) - f(arrow), arrows in order, entries row-major
+        brick = Representation(kronecker, {"1": 1, "2": 2}, {"a": [[1], [0]], "b": [[0], [1]]})
+        three = parse_quiver("vertices 1 2\narrow a 1 2\narrow b 1 2\narrow c 1 2\n")
+        _, gens = localisation_presentation(three, {"a": ["c"], "b": ["a"]}, brick)
+        assert [g.to_text() for g in gens.generators] == \
+            ["x[c]_1_1 - 1", "x[c]_2_1", "x[a]_1_1", "x[a]_2_1 - 1"]
 
     def test_path_mismatch(self, kronecker, a2_brick):
         with pytest.raises(PathMismatch):
@@ -1106,8 +1118,10 @@ def validation_outcome(check):
 
 
 class TestSparseImagePasses:
-    """_validate and commutant_ideal_gens read only the images' nonzero
-    entries; both agree with the dense FreeMat products they replaced."""
+    """_validate and commutant_ideal_gens agree with the dense references
+    above, kept as they were written for the dense FreeMat;
+    TestFreeMat.test_product_is_the_entrywise_sum pins the sparse FreeMat
+    arithmetic both now run on."""
 
     @settings(max_examples=300, deadline=None)
     @given(image_families())
@@ -1120,3 +1134,14 @@ class TestSparseImagePasses:
         _, gens = commutant_ideal_gens(h)
         assert [list(g.terms.items()) for g in gens.generators] == \
             [list(g.terms.items()) for g in reference_commutant_gens(h)]
+
+
+def test_epibuild_imports_no_private_freealg_name():
+    """The matrix format stays behind freealg: epibuild imports only its
+    public names."""
+    tree = ast.parse(Path(epibuild.__file__).read_text(encoding="utf-8"))
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and node.module in ("freealg", "quiverepi.freealg")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

@@ -243,8 +243,8 @@ def diagonal(field, *bits):
 
 class TestStandardLayoutEarlyReturn:
     """A family that already is consecutive 0/1 diagonal blocks covering
-    0..n-1 returns (I, ranks) without the general path; every other family
-    takes the general path with all of its checks."""
+    0..n-1 returns (I, ranks), the pivot columns of its blocks; every
+    family goes through all of the checks."""
 
     @pytest.fixture
     def general_path_calls(self, monkeypatch):
@@ -260,14 +260,13 @@ class TestStandardLayoutEarlyReturn:
 
     @pytest.mark.parametrize("field", [QQ, GF(101)])
     @pytest.mark.parametrize("sizes", [[3], [1, 2], [0, 3], [2, 0, 1], [1, 1, 0], [0, 0, 3, 0]])
-    def test_standard_families(self, field, sizes, general_path_calls):
+    def test_standard_families(self, field, sizes):
         n = sum(sizes)
         idems, offset = [], 0
         for k in sizes:
             idems.append(block_diagonal(field, n, offset, k))
             offset += k
         u, ranks = idempotent_diagonalize(idems)
-        assert general_path_calls == []
         assert (u, ranks) == (ExactMatrix.identity(field, n), sizes)
         # what the general path computes: the pivot columns of each block
         columns = [v.column(0) for e in idems for v in column_space_basis(e)]
@@ -304,22 +303,10 @@ class TestStandardLayoutEarlyReturn:
             u, ranks = idempotent_diagonalize([e1, e2])
             assert len(general_path_calls) == 2
             assert ranks == [1, 1]
-            assert not u.is_identity()
+            assert u != ExactMatrix.identity(field, 2)
             u_inv = solve_or_invert(u)
             assert u_inv * e1 * u == diagonal(field, 1, 0)
             assert u_inv * e2 * u == diagonal(field, 0, 1)
-
-
-class TestIsIdentity:
-    @pytest.mark.parametrize("field", [QQ, GF(101)])
-    def test_identity_and_near_misses(self, field):
-        assert ExactMatrix.identity(field, 3).is_identity()
-        assert ExactMatrix.identity(field, 0).is_identity()
-        assert not ExactMatrix.zeros(field, 2, 2).is_identity()
-        assert not ExactMatrix.zeros(field, 1, 2).is_identity()
-        assert not ExactMatrix(field, [[1, 0], [0, 2]]).is_identity()
-        assert not ExactMatrix(field, [[1, 0], [3, 1]]).is_identity()
-        assert not ExactMatrix(field, [[1, 3], [0, 1]]).is_identity()
 
 
 class TestColumnSpace:

@@ -259,16 +259,35 @@ class TestFreeMat:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_product_is_the_entrywise_sum(self, data):
+        """*, +, binary and unary - and scale agree with entrywise FreePoly
+        arithmetic on dense grids, and every result holds only nonzero
+        entries, in range and in row-major order."""
         field = data.draw(st.sampled_from([QQ, GF(7)]))
         alg = FreeAlgebra(field, ["x", "y", "z"])
         entry = st.dictionaries(SPAN_WORDS, st.integers(-2, 2), max_size=3).map(alg.poly)
         n, k, m = (data.draw(st.integers(0, 3)) for _ in range(3))
-        a = FreeMat(alg, [[data.draw(entry) for _ in range(k)] for _ in range(n)], cols=k)
-        b = FreeMat(alg, [[data.draw(entry) for _ in range(m)] for _ in range(k)], cols=m)
-        want = [[sum((a.entry(i, t) * b.entry(t, j) for t in range(k)), alg.zero())
-                 for j in range(m)] for i in range(n)]
-        assert a * b == FreeMat(alg, want, cols=m)
-        assert (a * b).rows == n and (a * b).cols == m
+
+        def grid(rows, cols):
+            return [[data.draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+        ga, ga2, gb, p = grid(n, k), grid(n, k), grid(k, m), data.draw(entry)
+        a, a2, b = FreeMat(alg, ga, cols=k), FreeMat(alg, ga2, cols=k), FreeMat(alg, gb, cols=m)
+        cases = [
+            (a * b, [[sum((ga[i][t] * gb[t][j] for t in range(k)), alg.zero())
+                      for j in range(m)] for i in range(n)], m),
+            (a + a2, [[x + y for x, y in zip(r, r2)] for r, r2 in zip(ga, ga2)], k),
+            (a - a2, [[x - y for x, y in zip(r, r2)] for r, r2 in zip(ga, ga2)], k),
+            (-a, [[-x for x in r] for r in ga], k),
+            (a.scale(p), [[p * x for x in r] for r in ga], k),
+        ]
+        for got, want, cols in cases:
+            assert got == FreeMat(alg, want, cols=cols)
+            assert (got.rows, got.cols) == (n, cols)
+            assert not any(q.is_zero() for q in got.nonzero.values())
+            keys = list(got.nonzero)
+            assert keys == sorted(keys)
+            assert all(0 <= i < n and 0 <= j < cols for i, j in keys)
+            assert FreeMat(alg, got.entries, cols=got.cols) == got
 
     def test_substitution_into_matrices(self, xy):
         from quiverepi.epibuild import _substitute_freemat
