@@ -183,6 +183,10 @@ def cmd_verify(args) -> int:
     return code
 
 
+_EXPECTED_INPUTS = {"brick": 1, "extend": 2, "invariant": 3, "glue": 2,
+                    "canonical": 1, "presentation": 2}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quiverepi",
@@ -199,8 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=cmd_check)
 
     p_build = sub.add_parser("build", help="construct a hom and serialize it")
-    p_build.add_argument("kind", choices=["brick", "extend", "invariant", "glue",
-                                          "canonical", "presentation"])
+    p_build.add_argument("kind", choices=list(_EXPECTED_INPUTS))
     p_build.add_argument("inputs", nargs="+",
                          help="kind-specific inputs: brick REP | extend REP QUIVER | "
                               "invariant REP ARROW CASE | glue REP VERTEX | "
@@ -226,10 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_EXPECTED_INPUTS = {"brick": 1, "extend": 2, "invariant": 3, "glue": 2,
-                    "canonical": 1, "presentation": 2}
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on first use: parsing leaves
@@ -240,11 +239,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    if args.command == "check" and args.field is None:
+    if args.command in ("check", "build") and args.field is None:
         args.field = "q"
     if args.command == "build":
-        if args.field is None:
-            args.field = "q"
         expected = _EXPECTED_INPUTS[args.kind]
         if len(args.inputs) != expected:
             parser.error(f"build {args.kind} takes exactly {expected} positional input(s)")

@@ -1160,16 +1160,10 @@ def homs_equal_up_to_renaming(h1: AlgebraHom, h2: AlgebraHom) -> bool:
         bwd[x2] = x1
         return True
 
-    for v in h1.source_quiver.vertices:
-        m1, m2 = h1.idem_images[v], h2.idem_images[v]
-        for r1, r2 in zip(m1.entries, m2.entries):
-            for p1, p2 in zip(r1, r2):
-                if not match(p1, p2):
-                    return False
-    for a in h1.source_quiver.arrows:
-        m1, m2 = h1.arrow_images[a.name], h2.arrow_images[a.name]
-        for r1, r2 in zip(m1.entries, m2.entries):
-            for p1, p2 in zip(r1, r2):
-                if not match(p1, p2):
-                    return False
-    return True
+    # zero against zero matches and binds no letter, so only positions
+    # nonzero in either image are walked, in row-major order
+    q = h1.source_quiver
+    images = ([(h1.idem_images[v], h2.idem_images[v]) for v in q.vertices]
+              + [(h1.arrow_images[a.name], h2.arrow_images[a.name]) for a in q.arrows])
+    return all(match(m1.entry(*ij), m2.entry(*ij)) for m1, m2 in images
+               for ij in sorted(m1.nonzero.keys() | m2.nonzero.keys()))

@@ -5,31 +5,27 @@ int when integral (the common case) and else a fractions.Fraction in lowest
 terms, over GF(p) the residue 0..p-1.  A Field object supplies the
 arithmetic, each operation returning that form, so the same matrix code
 runs over either field.  Besides scalar operations, each Field supplies
-three row kernels, dot(xs, ys), row_sub(xs, c, ys) = xs - c*ys and
-row_scale(c, xs), each doing one field operation per result entry (over
-GF(p) one `% p`), and the dense matrix code is written against those.
+dot(xs, ys), the row kernel of ExactMatrix products.
 
-Each Field supplies its own elimination, Field.eliminate, on the same loop
-as its Field.rank (below): over GF(p) it back-substitutes the sparse
-echelon, last pivot first; over QQ it is fraction-free on Python integers
-(Bareiss's exact division by the previous pivot), forming a Fraction only
-for a non-integral entry of the final rows.  rref, and everything that
-needs a basis or an inverse (nullspace_basis, column_space_basis,
-solve_or_invert), calls it.  The reduced row echelon form and its pivot
-columns are unique, so both fields give the same result as any other exact
-elimination.
-
-Field.rank takes sparse rows, dicts {column: nonzero entry}, which is how
-quiverrep's intertwiner systems come: each of their rows has at most
-d_s + d_t nonzeros.  GF(p) ranks them by an incremental sparse echelon,
-reducing each row by the pivot rows kept so far until it vanishes or leads
-a new column.  QQ builds dense integer rows from the dicts and runs the
-forward half of its fraction-free elimination, which forms no Fraction at
-all; dict rows lose to fill-in there.  rank(m) hands the matrix's nonzero
-entries to Field.rank as sparse rows.  Everything is exact: no
-floats, no pivoting heuristics.  The elimination pivot rule is fixed
-(first nonzero entry scanning rows top to bottom, columns left to right)
-so every result is deterministic.
+Each Field supplies one elimination loop, which gives both its
+Field.rank and its Field.eliminate (reduced row echelon form), and both
+take sparse rows, dicts {column: nonzero entry}.  That is how quiverrep's
+intertwiner systems come (each of their rows has at most d_s + d_t
+nonzeros), and rref(m) and rank(m) hand the field the matrix's nonzero
+entries the same way.  GF(p) runs an incremental sparse echelon, reducing
+each row by the pivot rows kept so far until it vanishes or leads a new
+column; its RREF back-substitutes that echelon, last pivot first.  QQ
+scales each row to dense Python integers (by the lcm of its denominators)
+and runs a fraction-free elimination (Bareiss's exact division by the
+previous pivot): forward only for the rank, which forms no Fraction at
+all, and Gauss-Jordan for the RREF, forming a Fraction only for a
+non-integral entry of the final rows.  rref, and everything that needs a
+basis or an inverse (nullspace_basis, column_space_basis, solve_or_invert),
+calls it.  The reduced row echelon form and its pivot columns are unique,
+so both fields give the same result as any other exact elimination.
+Everything is exact: no floats, no pivoting heuristics.  The elimination
+pivot rule is fixed (first nonzero entry scanning rows top to bottom,
+columns left to right) so every result is deterministic.
 
 The public ExactMatrix constructor coerces every entry and rejects ragged
 rows.  Operations whose entries already lie in the field build their result
@@ -59,12 +55,17 @@ class NotIdempotentFamily(Exception):
     """Raised when an alleged orthogonal idempotent family fails a check."""
 
 
-def _integer_row(row) -> list[int]:
-    """A dense row of rationals scaled by the lcm of its denominators."""
-    den = lcm(*[x.denominator for x in row])
-    if den == 1:
-        return [x.numerator for x in row]
-    return [x.numerator * (den // x.denominator) for x in row]
+def _integer_rows(rows: Iterable[dict], cols: int) -> list[list[int]]:
+    """Dense integer rows from sparse rational rows {column: nonzero}, each
+    scaled by the lcm of its denominators."""
+    out = []
+    for row in rows:
+        den = lcm(*[x.denominator for x in row.values()])
+        dense = [0] * cols
+        for j, x in row.items():
+            dense[j] = x.numerator * (den // x.denominator)
+        out.append(dense)
+    return out
 
 
 def _q(x):
@@ -118,13 +119,6 @@ class RationalField:
     def dot(self, xs, ys):
         return _q(sum([x * y for x, y in zip(xs, ys) if x and y]))
 
-    def row_sub(self, xs, c, ys):
-        """xs - c*ys, skipping the zero entries of ys."""
-        return [_q(x - c * y) if y else x for x, y in zip(xs, ys)]
-
-    def row_scale(self, c, xs):
-        return [_q(c * x) for x in xs]
-
     def _echelon(self, a: list[list[int]], cols: int,
                  full: bool) -> tuple[list[list], list[int], list[int]]:
         """The fraction-free pivot loop shared by eliminate and rank, run in
@@ -176,13 +170,14 @@ class RationalField:
                 break
         return a, level, pivots
 
-    def eliminate(self, rows, cols: int) -> tuple[list[list], list[int]]:
-        """Reduced row echelon rows and pivot columns, fraction-free.
+    def eliminate(self, rows: Sequence[dict], cols: int) -> tuple[list[list], list[int]]:
+        """Reduced row echelon rows and pivot columns of sparse rows
+        {column: nonzero}, fraction-free.
 
         After the full pivot loop, pivot row i is a[i] / level[i] (its pivot
         entry equals level[i]), the unique RREF; the other rows are zero.
         """
-        a, level, pivots = self._echelon([_integer_row(row) for row in rows], cols, True)
+        a, level, pivots = self._echelon(_integer_rows(rows, cols), cols, True)
         r = len(pivots)
         out = [[x // d if x % d == 0 else Fraction(x, d) for x in row]
                for row, d in zip(a[:r], level)]
@@ -191,14 +186,7 @@ class RationalField:
     def rank(self, rows: Iterable[dict], cols: int) -> int:
         """Row rank of sparse rows {column: nonzero}, by the forward-only
         fraction-free pass on dense integer rows: no Fraction is formed."""
-        a = []
-        for row in rows:
-            den = lcm(*[x.denominator for x in row.values()])
-            dense = [0] * cols
-            for j, x in row.items():
-                dense[j] = x.numerator * (den // x.denominator)
-            a.append(dense)
-        return len(self._echelon(a, cols, False)[2])
+        return len(self._echelon(_integer_rows(rows, cols), cols, False)[2])
 
     def to_str(self, a):
         return str(a)
@@ -269,15 +257,6 @@ class PrimeField:
     def dot(self, xs, ys):
         return sum(map(mul, xs, ys)) % self.p
 
-    def row_sub(self, xs, c, ys):
-        """xs - c*ys."""
-        p = self.p
-        return [(x - c * y) % p for x, y in zip(xs, ys)]
-
-    def row_scale(self, c, xs):
-        p = self.p
-        return [c * x % p for x in xs]
-
     def _echelon(self, rows: Iterable[dict], cols: int) -> dict[int, dict]:
         """The incremental sparse echelon shared by eliminate and rank.
 
@@ -307,12 +286,12 @@ class PrimeField:
                     row[j] = (get(j, 0) - q * y) % p
         return pivots
 
-    def eliminate(self, rows, cols: int) -> tuple[list[list], list[int]]:
-        """Reduced row echelon rows and pivot columns: the sparse echelon,
-        then back-substitution, last pivot first, so that each pivot row is
-        cleared of the later pivot columns by rows already free of them."""
+    def eliminate(self, rows: Sequence[dict], cols: int) -> tuple[list[list], list[int]]:
+        """Reduced row echelon rows and pivot columns of sparse rows
+        {column: nonzero}: the sparse echelon, then back-substitution, last
+        pivot first, so that each pivot row is cleared of the later pivot
+        columns by rows already free of them."""
         p = self.p
-        rows = [{j: x for j, x in enumerate(row) if x} for row in rows]
         echelon = self._echelon(rows, cols)
         pivots = sorted(echelon)
         for c in reversed(pivots):
@@ -436,17 +415,17 @@ class ExactMatrix:
         return hash((self.field, self.rows, self.cols, self.entries))
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self._sub_multiple(self.field.neg(self.field.one()), other)
+        return self._entrywise(self.field.add, other)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self._sub_multiple(self.field.one(), other)
+        return self._entrywise(self.field.sub, other)
 
-    def _sub_multiple(self, c, other: "ExactMatrix") -> "ExactMatrix":
-        """self - c*other, for a field element c."""
+    def _entrywise(self, op, other: "ExactMatrix") -> "ExactMatrix":
+        """The matrix of op(self entry, other entry), for a field operation op."""
         self._check_same_shape(other)
-        f = self.field
         return ExactMatrix._of(
-            f, [f.row_sub(ra, c, rb) for ra, rb in zip(self.entries, other.entries)], self.cols
+            self.field, [map(op, ra, rb) for ra, rb in zip(self.entries, other.entries)],
+            self.cols,
         )
 
     def __neg__(self) -> "ExactMatrix":
@@ -471,7 +450,8 @@ class ExactMatrix:
     def scale(self, c) -> "ExactMatrix":
         f = self.field
         c = f.coerce(c)
-        return ExactMatrix._of(f, [f.row_scale(c, row) for row in self.entries], self.cols)
+        return ExactMatrix._of(f, [[f.mul(c, x) for x in row] for row in self.entries],
+                               self.cols)
 
     def transpose(self) -> "ExactMatrix":
         if not self.rows:
@@ -511,16 +491,21 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols}: {body})"
 
 
+def _sparse_rows(m: ExactMatrix) -> list[dict]:
+    """The rows of m as {column: nonzero entry}, the rows the fields eliminate."""
+    return [{j: x for j, x in enumerate(row) if x} for row in m.entries]
+
+
 def rref(m: ExactMatrix) -> tuple[ExactMatrix, list[int]]:
     """Reduced row echelon form and pivot column list (fixed pivot rule),
     by the field's own elimination."""
-    rows, pivots = m.field.eliminate(m.entries, m.cols)
+    rows, pivots = m.field.eliminate(_sparse_rows(m), m.cols)
     return ExactMatrix._of(m.field, rows, m.cols), pivots
 
 
 def rank(m: ExactMatrix) -> int:
     """Row rank, by the field's sparse-row rank (no RREF)."""
-    return m.field.rank([{j: x for j, x in enumerate(row) if x} for row in m.entries], m.cols)
+    return m.field.rank(_sparse_rows(m), m.cols)
 
 
 def nullspace_basis(m: ExactMatrix) -> list[ExactMatrix]:
@@ -540,8 +525,8 @@ def nullspace_basis(m: ExactMatrix) -> list[ExactMatrix]:
         v[fc] = f.one()
         for r, pc in enumerate(pivots):
             v[pc] = f.neg(reduced.entries[r][fc])
-        lead = next(x for x in v if x)
-        v = f.row_scale(f.inv(lead), v)
+        inv = f.inv(next(x for x in v if x))
+        v = [f.mul(inv, x) for x in v]
         basis.append(ExactMatrix._of(f, [(x,) for x in v], 1))
     return basis
 

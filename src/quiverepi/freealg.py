@@ -614,10 +614,11 @@ class IdealSpan:
         first degree whose span contains it; the rest are NotFoundUpTo(bound).
 
         A span already built beyond the bound could hand out certificates
-        above it, so such a span answers from a fresh engine instead.
+        above it, so it raises ValueError; decide_memberships, the one
+        caller, always passes a fresh span.
         """
         if self._built > degree_bound:
-            return IdealSpan(self.gens, self._weights).memberships(targets, degree_bound)
+            raise ValueError(f"span built to degree {self._built}, past the bound {degree_bound}")
         results = [MembershipResult.not_found(degree_bound) for _ in targets]
         pending = list(range(len(targets)))
         for d in range(max(self._built, 0), degree_bound + 1):
@@ -670,13 +671,15 @@ def _rule(f, terms: dict, lead: Word, combo: dict) -> tuple[dict, dict]:
 class LinearElimination:
     """Pre-elimination of an ideal's generators of degree at most 1.
 
-    The generators of degree <= 1 are taken in index order.  Each is reduced
-    by the rules so far and made monic at its leading letter (its pivot),
-    which gives the rule pivot -> (tail, combo) of _rewrite: pivot == tail +
-    sum(combo * products).  One that reduces to zero is dropped; one that
-    reduces to a nonzero constant joins the residual generators.  A new
-    pivot is also rewritten in the earlier rules' tails, so no tail holds a
-    pivot and a word's rewriting takes one step per pivot letter.
+    One pass takes the generators of degree <= 1 in index order, then the
+    rest.  Each is reduced to its normal form by the rules so far.  One of
+    degree <= 1 whose normal form has a letter is made monic at its leading
+    letter (its pivot), which gives the rule pivot -> (tail, combo) of
+    _rewrite: pivot == tail + sum(combo * products).  Earlier rules are
+    never rewritten: a later pivot left in an earlier tail is rewritten
+    when the tail is used.  A normal form of zero is dropped; a nonzero
+    constant, and every nonzero normal form of degree >= 2, joins the
+    residual generators.
 
     Rewriting by these rules (normal_form) is the algebra map sending each
     pivot letter to its normal form.  It kills every rule, and no two pivots
@@ -694,37 +697,18 @@ class LinearElimination:
         one = f.one()
         self.rules: dict[Word, tuple[dict, dict]] = {}
         residual = []  # (generator index, normal form, lift)
-
-        def lift_of(gi, combo):
-            # the combination giving g_gi - sum(combo * products)
-            lift = {k: f.neg(c) for k, c in combo.items()}
-            _add_term(f, lift, ((), gi, ()), one)
-            return lift
-
-        for gi, g in enumerate(gens.generators):
-            if g.degree() > 1:
-                continue
+        for gi, g in sorted(enumerate(gens.generators), key=lambda item: item[1].degree() > 1):
             terms, combo = self.normal_form(g.terms)
             if not terms:
                 continue
-            lift = lift_of(gi, combo)
+            # the combination giving g_gi - sum(combo * products)
+            lift = {k: f.neg(c) for k, c in combo.items()}
+            _add_term(f, lift, ((), gi, ()), one)
             lead = max(terms, key=algebra.monomial_key)
-            if not lead:
+            if lead and g.degree() <= 1:
+                self.rules[lead] = _rule(f, terms, lead, lift)
+            else:
                 residual.append((gi, terms, lift))
-                continue
-            tail, rule_combo = _rule(f, terms, lead, lift)
-            for earlier_tail, earlier_combo in self.rules.values():
-                c = earlier_tail.pop(lead, None)
-                if c is not None:
-                    for w, tc in tail.items():
-                        _add_term(f, earlier_tail, w, f.mul(c, tc))
-                    _shift_add(f, earlier_combo, rule_combo, (), (), c)
-            self.rules[lead] = (tail, rule_combo)
-        for gi, g in enumerate(gens.generators):
-            if g.degree() > 1:
-                terms, combo = self.normal_form(g.terms)
-                if terms:
-                    residual.append((gi, terms, lift_of(gi, combo)))
         residual.sort(key=lambda item: item[0])
         self.algebra = FreeAlgebra(f, [x for x in algebra.letters if (x,) not in self.rules])
         self.residual = IdealGens(self.algebra, [FreePoly(self.algebra, terms)
@@ -782,12 +766,12 @@ def _rewrite(algebra: FreeAlgebra, rules: dict[Word, tuple[dict, dict]],
     products), whose tails hold only words below their leads.
 
     The largest word still pending is rewritten at the leftmost leading word
-    it contains, or kept in nf when it contains none.  Each word is thus
-    rewritten one fixed way, and nf and combo are linear in terms.  A heap
-    of negated monomial keys, one per word joining pending, yields the
-    largest word first; entries of words since cancelled are skipped."""
+    it contains, the shortest one at that start, or kept in nf when it
+    contains none.  Each word is thus rewritten one fixed way, and nf and
+    combo are linear in terms.  A heap of negated monomial keys, one per
+    word joining pending, yields the largest word first; entries of words
+    since cancelled are skipped."""
     f = algebra.field
-    lengths = sorted({len(lead) for lead in rules})
     nf: dict = {}
     combo: dict = {}
     pending = dict(terms)
@@ -803,8 +787,8 @@ def _rewrite(algebra: FreeAlgebra, rules: dict[Word, tuple[dict, dict]],
         if w not in pending:
             continue
         c = pending.pop(w)
-        hit = next(((k, n) for k in range(len(w)) for n in lengths if w[k:k + n] in rules),
-                   None)
+        hit = next(((k, n) for k in range(len(w)) for n in range(1, len(w) - k + 1)
+                    if w[k:k + n] in rules), None)
         if hit is None:
             nf[w] = c
             continue

@@ -113,6 +113,16 @@ class TestBuild:
         assert report["size"] == 4
         assert report["alphabet"] == ["x1"]
 
+    @pytest.mark.parametrize("kind", list(cli._EXPECTED_INPUTS))
+    def test_one_input_too_few_exits_2(self, workdir, capsys, kind):
+        inputs = [str(workdir / "brick.rep")] * (cli._EXPECTED_INPUTS[kind] - 1)
+        with pytest.raises(SystemExit) as exc:
+            main(["build", kind, *inputs])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert "error:" in captured.err
+        assert captured.out == ""
+
     def test_build_canonical_needs_dims(self, workdir, capsys):
         code = main(["build", "canonical", str(workdir / "kronecker.quiver")])
         assert code == 2

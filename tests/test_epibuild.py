@@ -200,6 +200,40 @@ class TestGenerationIdentity:
         assert generation_identity_check(h)
 
 
+class TestHomsEqualUpToRenaming:
+    """homs_equal_up_to_renaming accepts a bijective renaming of the letters
+    and nothing else."""
+
+    @pytest.fixture
+    def kron11(self, kronecker):
+        return canonical_generic_hom(kronecker, {"1": 1, "2": 1})
+
+    def substituted(self, h, **images):
+        alg = h.algebra
+        return substitute_letters(h, {f"x[{a}]_1_1": alg.letter(f"x[{b}]_1_1") if b else 1
+                                      for a, b in images.items()}, target_algebra=alg)
+
+    def test_swapped_letters_match(self, kron11):
+        assert homs_equal_up_to_renaming(kron11, self.substituted(kron11, a="b", b="a"))
+
+    def test_letter_against_scalar(self, kron11):
+        scalar_b = self.substituted(kron11, b=None)
+        assert not homs_equal_up_to_renaming(kron11, scalar_b)
+        assert not homs_equal_up_to_renaming(scalar_b, kron11)
+
+    def test_two_letters_to_one(self, kron11):
+        assert not homs_equal_up_to_renaming(kron11, self.substituted(kron11, b="a"))
+
+    def test_one_letter_to_two(self, kron11):
+        assert not homs_equal_up_to_renaming(self.substituted(kron11, b="a"), kron11)
+
+    def test_different_sizes(self, a2, a2_brick):
+        bigger = Representation(a2, {"1": 1, "2": 2}, {"a": [[1], [0]]})
+        h1, h2 = build_brick_hom(a2_brick), build_brick_hom(bigger, allow_non_brick=True)
+        assert h1.algebra.letters == h2.algebra.letters == ()
+        assert not homs_equal_up_to_renaming(h1, h2)
+
+
 class TestExtendInvariant:
     def test_case_i_matches_arrow_extension(self, kronecker, kron_extension_hom):
         m_prime = Representation(kronecker, {"1": 1, "2": 1}, {"a": [[1]], "b": [[0]]})
