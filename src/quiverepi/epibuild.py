@@ -51,6 +51,7 @@ from .quiver import Quiver, block_layout
 from .quiverrep import (
     Representation,
     ZeroModule,
+    _intertwiner_system,
     complement,
     end_basis,
     end_dim,
@@ -757,22 +758,46 @@ class EpiReport:
 
 def commutant_ideal_gens(h: AlgebraHom) -> tuple[FreeAlgebra, IdealGens]:
     """The combined algebra k<X, v_ij> and the entries of V h(g) - h(g) V
-    over the algebra generators g (vertex idempotents, then arrows)."""
+    over the algebra generators g (vertex idempotents, then arrows).
+
+    Entry (i, j) is sum_k v_ik g_kj - g_ik v_kj, built from g's nonzero
+    entries as one term dict in the order the FreeMat expression would
+    give: the terms of v_ik g_kj, k ascending, then those of -g_ik v_kj.
+    The words of the two sums are distinct (a v letter comes first in one
+    and last in the other, g having no v letter), except v_ii in both when
+    i = j and g_ii has a constant term."""
     n = h.size
     v_names = commutant_letters(n)
     for name in v_names:
         if name in h.algebra.letters:
             raise AlphabetMismatch(f"hom alphabet already contains reserved letter {name!r}")
     combined = FreeAlgebra(h.field, list(h.algebra.letters) + v_names)
-    V = FreeMat._of(combined, n, n, {(i, j): combined.letter(v_names[i * n + j])
-                                     for i in range(n) for j in range(n)})
+    f = combined.field
     gens: dict[FreePoly, None] = {}  # insertion-ordered set
     images = [h.idem_images[v] for v in h.source_quiver.vertices]
     images += [h.arrow_images[a.name] for a in h.source_quiver.arrows]
     for g in images:
-        g = FreeMat._of(combined, n, n, {ij: combined.embed(p) for ij, p in g.nonzero.items()})
-        for p in (V * g - g * V).nonzero.values():
-            gens.setdefault(p)
+        by_row: dict[int, list] = {}
+        by_col: dict[int, list] = {}
+        for (i, j), p in g.nonzero.items():  # row-major, so k ascends below
+            by_row.setdefault(i, []).append((j, p.terms))
+            by_col.setdefault(j, []).append((i, p.terms))
+        for i in range(n):
+            for j in range(n):
+                terms = {(v_names[i * n + k],) + w: c
+                         for k, t in by_col.get(j, ()) for w, c in t.items()}
+                for k, t in by_row.get(i, ()):
+                    for w, c in t.items():
+                        w += (v_names[k * n + j],)
+                        c = f.neg(c)
+                        if w in terms:
+                            c = f.add(terms[w], c)
+                            if f.is_zero(c):
+                                del terms[w]
+                                continue
+                        terms[w] = c
+                if terms:
+                    gens.setdefault(FreePoly(combined, terms))
     return combined, IdealGens(combined, gens)
 
 
@@ -955,7 +980,7 @@ def specialize(h: AlgebraHom, assignment: dict[str, ExactMatrix],
 
 
 def _trial_dims(h: AlgebraHom, loops: Quiver, assignment: dict[str, ExactMatrix],
-                ell: int, standard=None) -> tuple[int, int]:
+                ell: int, standard=None, echelons: dict | None = None) -> tuple[int, int]:
     """(dim End over the path algebra of the specialized module, dim of the
     centralizer of the assigned matrices).  The centralizer is End of the
     one-vertex module on the loop quiver `loops`, one loop per letter acting
@@ -963,18 +988,40 @@ def _trial_dims(h: AlgebraHom, loops: Quiver, assignment: dict[str, ExactMatrix]
 
     standard, _standard_blocks(h), skips specialize when it is not None:
     the idempotent images become e_v (x) I_ell under every assignment, so
-    each arrow acts by its substituted block alone."""
+    each arrow acts by its substituted block alone.  An arrow whose block
+    holds no letter then acts by B (x) I_ell in every trial.  echelons, a
+    dict kept by one specialization test, holds under each size the
+    reduced echelon of those letter-free arrows' intertwiner rows, made at
+    the size's first trial; every trial builds only the letter arrows'
+    rows and ranks them modulo it.  The rank of the stacked system is the
+    echelon's rank plus that rank modulo it, so dim End is exactly the
+    number the full system gives.  Without echelons (the QQ recheck) or off
+    the standard layout, the trial's system has every arrow's rows."""
     if standard is None:
-        rep = specialize(h, assignment, size=ell)
+        rep, fixed, moving = specialize(h, assignment, size=ell), [], None
     else:
-        dims, blocks = standard
-        rep = Representation(h.source_quiver, {v: ell * d for v, d in dims.items()},
-                             {a: _substitute_freemat(b, assignment, ell, h.field)
-                              for a, b in blocks.items()}, field=h.field)
+        dims, blocks, letter_free = standard
+        fixed = [] if echelons is None else letter_free
+
+        def module(arrows):
+            return Representation(
+                h.source_quiver, {v: ell * d for v, d in dims.items()},
+                {a: _substitute_freemat(blocks[a], assignment, ell, h.field) for a in arrows},
+                field=h.field)
+
+        moving = [a for a in blocks if a not in fixed]
+        rep = module(moving)
     if rep.total_dim() == 0:
         return 0, 0
-    letters = Representation(loops, {"*": ell}, assignment, field=rep.field)
-    dim_path = hom_dim(rep, rep)
+    field = rep.field
+    if fixed and ell not in echelons:
+        scalar = module(fixed)
+        rows, total, _ = _intertwiner_system(scalar, scalar, fixed)
+        echelons[ell] = field.reduced_echelon(rows, total)
+    start = echelons[ell] if fixed else {}
+    rows, total, _ = _intertwiner_system(rep, rep, moving)
+    dim_path = total - len(start) - field.rank(rows, total, start)
+    letters = Representation(loops, {"*": ell}, assignment, field=field)
     dim_matrix = hom_dim(letters, letters)
     if dim_path < dim_matrix:
         raise EpibuildError("internal: matrix-algebra End exceeded path-algebra End")
@@ -982,12 +1029,15 @@ def _trial_dims(h: AlgebraHom, loops: Quiver, assignment: dict[str, ExactMatrix]
 
 
 def _standard_blocks(h: AlgebraHom):
-    """h.standard_blocks(), or None when h is not in the standard layout
-    (letters or a conjugated layout in its idempotent images)."""
+    """h.standard_blocks() and the names of the arrows whose blocks hold no
+    letter, or None when h is not in the standard layout (letters or a
+    conjugated layout in its idempotent images)."""
     try:
-        return h.standard_blocks()
+        dims, blocks = h.standard_blocks()
     except LayoutMismatch:
         return None
+    return dims, blocks, [a for a, b in blocks.items()
+                          if all(p.is_scalar() for p in b.nonzero.values())]
 
 
 def _specialization_prime(h: AlgebraHom) -> int:
@@ -1045,6 +1095,12 @@ def specialization_refutation_test(h: AlgebraHom, trials: int = 20,
     assignment and refutes only if it holds there; otherwise the trial logs
     the QQ dimensions, keeps the mod-p ones under "modular_artifact", and the
     test goes on.  Deterministic given the seed.
+
+    In the standard layout, the arrows whose blocks hold no letter act the
+    same way in every trial of one size, so their intertwiner rows are put
+    in reduced echelon form once per size, at its first trial, and each
+    trial ranks only the letter arrows' rows modulo it (_trial_dims).  The
+    echelons live in this call only.
     """
     import random
 
@@ -1058,6 +1114,9 @@ def specialization_refutation_test(h: AlgebraHom, trials: int = 20,
     # (size, assignment) -> (dims, modular artifact); with no letters nothing
     # is drawn, and every trial of one size repeats the first
     done: dict[tuple, tuple] = {}
+    # size -> the letter-free arrows' echelon (see _trial_dims); with no
+    # letters there is one trial per size, so nothing to keep
+    echelons = {} if hs.algebra.letters else None
     for t in range(trials):
         ell = sizes[t % len(sizes)]
         assignment = {
@@ -1068,7 +1127,7 @@ def specialization_refutation_test(h: AlgebraHom, trials: int = 20,
         }
         key = (ell, tuple(m.entries for m in assignment.values()))
         if key not in done:
-            dim_path, dim_matrix = _trial_dims(hs, loops, assignment, ell, standard)
+            dim_path, dim_matrix = _trial_dims(hs, loops, assignment, ell, standard, echelons)
             modular = None
             if dim_path > dim_matrix and h.field == QQ:
                 modular = {"prime": field.p, "dim_path_algebra": dim_path,

@@ -7,22 +7,27 @@ arithmetic, each operation returning that form, so the same matrix code
 runs over either field.  Besides scalar operations, each Field supplies
 dot(xs, ys), the row kernel of ExactMatrix products.
 
-Each Field supplies one elimination loop, which gives both its
-Field.rank and its Field.eliminate (reduced row echelon form), and both
-take sparse rows, dicts {column: nonzero entry}.  That is how quiverrep's
-intertwiner systems come (each of their rows has at most d_s + d_t
-nonzeros), and rref(m) and rank(m) hand the field the matrix's nonzero
-entries the same way.  GF(p) runs an incremental sparse echelon, reducing
-each row by the pivot rows kept so far until it vanishes or leads a new
-column; its RREF back-substitutes that echelon, last pivot first.  QQ
-scales each row to dense Python integers (by the lcm of its denominators)
-and runs a fraction-free elimination (Bareiss's exact division by the
-previous pivot): forward only for the rank, which forms no Fraction at
-all, and Gauss-Jordan for the RREF, forming a Fraction only for a
-non-integral entry of the final rows.  rref, and everything that needs a
-basis or an inverse (nullspace_basis, column_space_basis, solve_or_invert),
-calls it.  The reduced row echelon form and its pivot columns are unique,
-so both fields give the same result as any other exact elimination.
+Each Field supplies one elimination loop, which gives its Field.rank and
+its reduced row echelon form, both as Field.reduced_echelon ({pivot
+column: rest of its row}) and as Field.eliminate (dense rows), and all of
+them take sparse rows, dicts {column: nonzero entry}.  That is how
+quiverrep's intertwiner systems come (each of their rows has at most
+d_s + d_t nonzeros), and rref(m) and rank(m) hand the field the matrix's
+nonzero entries the same way.  Field.rank(rows, cols, start) is the rank
+of rows modulo the row space of a reduced echelon start, so the echelon of
+rows that many systems share is computed once.  GF(p) runs an incremental
+sparse echelon, reducing each row by the pivot rows kept so far (at first
+a copy of start, if given) until it vanishes or leads a new column; its
+RREF back-substitutes that echelon, last pivot first.  QQ scales each row
+to dense Python integers (by the lcm of its denominators) and runs a
+fraction-free elimination (Bareiss's exact division by the previous
+pivot): forward only for the rank, which forms no Fraction at all, and
+Gauss-Jordan for the RREF, forming a Fraction only for a non-integral
+entry of the final rows.  rref, nullspace_vectors and everything that
+needs a basis or an inverse (nullspace_basis, column_space_basis,
+solve_or_invert) call it.  The reduced row echelon form and its pivot
+columns are unique, so both fields give the same result as any other
+exact elimination.
 Everything is exact: no floats, no pivoting heuristics.  The elimination
 pivot rule is fixed (first nonzero entry scanning rows top to bottom,
 columns left to right) so every result is deterministic.
@@ -183,10 +188,22 @@ class RationalField:
                for row, d in zip(a[:r], level)]
         return out + [[0] * cols] * (len(a) - r), pivots
 
-    def rank(self, rows: Iterable[dict], cols: int) -> int:
+    def reduced_echelon(self, rows: Sequence[dict], cols: int) -> dict[int, dict]:
+        """The RREF of sparse rows as {pivot column: the rest of its row},
+        nonzero entries only, the leading 1 implied; pivots ascending."""
+        reduced, pivots = self.eliminate(rows, cols)
+        return {c: {j: x for j, x in enumerate(row) if x and j != c}
+                for c, row in zip(pivots, reduced)}
+
+    def rank(self, rows: Iterable[dict], cols: int, start: dict | None = None) -> int:
         """Row rank of sparse rows {column: nonzero}, by the forward-only
-        fraction-free pass on dense integer rows: no Fraction is formed."""
-        return len(self._echelon(_integer_rows(rows, cols), cols, False)[2])
+        fraction-free pass on dense integer rows: no Fraction is formed.
+
+        With start, a reduced_echelon, the rank modulo its row space: the
+        rank of its rows and rows together, less len(start)."""
+        if start:
+            rows = [{c: 1, **tail} for c, tail in start.items()] + list(rows)
+        return len(self._echelon(_integer_rows(rows, cols), cols, False)[2]) - len(start or ())
 
     def to_str(self, a):
         return str(a)
@@ -257,16 +274,19 @@ class PrimeField:
     def dot(self, xs, ys):
         return sum(map(mul, xs, ys)) % self.p
 
-    def _echelon(self, rows: Iterable[dict], cols: int) -> dict[int, dict]:
+    def _echelon(self, rows: Iterable[dict], cols: int,
+                 start: dict | None = None) -> dict[int, dict]:
         """The incremental sparse echelon shared by eliminate and rank.
 
         Maps each leading column to the rest of a kept row scaled to a
         leading 1; each row is reduced by them, its smallest column first,
         until it vanishes or leads a new column.  Subtracting a pivot row
         cancels the lead and touches only columns right of it; the zeros it
-        leaves are dropped when they come to lead."""
+        leaves are dropped when they come to lead.  With start, an echelon
+        of the same form, the pivots start as a copy of it: its tails are
+        read, never changed, so it can start any number of echelons."""
         p = self.p
-        pivots: dict[int, dict] = {}
+        pivots: dict[int, dict] = dict(start or {})
         for row in rows:
             if len(pivots) == cols:
                 break
@@ -286,11 +306,12 @@ class PrimeField:
                     row[j] = (get(j, 0) - q * y) % p
         return pivots
 
-    def eliminate(self, rows: Sequence[dict], cols: int) -> tuple[list[list], list[int]]:
-        """Reduced row echelon rows and pivot columns of sparse rows
-        {column: nonzero}: the sparse echelon, then back-substitution, last
-        pivot first, so that each pivot row is cleared of the later pivot
-        columns by rows already free of them."""
+    def reduced_echelon(self, rows: Iterable[dict], cols: int) -> dict[int, dict]:
+        """The RREF of sparse rows as {pivot column: the rest of its row},
+        nonzero entries only, the leading 1 implied; pivots ascending.  The
+        sparse echelon, then back-substitution, last pivot first, so that
+        each pivot row is cleared of the later pivot columns by rows already
+        free of them."""
         p = self.p
         echelon = self._echelon(rows, cols)
         pivots = sorted(echelon)
@@ -300,13 +321,21 @@ class PrimeField:
                 q = tail.pop(k)
                 for j, y in echelon[k].items():
                     tail[j] = (tail.get(j, 0) - q * y) % p
-        out = [[1 if j == c else echelon[c].get(j, 0) for j in range(cols)] for c in pivots]
-        return out + [[0] * cols for _ in range(len(rows) - len(pivots))], pivots
+        return {c: {j: x for j, x in echelon[c].items() if x} for c in pivots}
 
-    def rank(self, rows: Iterable[dict], cols: int) -> int:
+    def eliminate(self, rows: Sequence[dict], cols: int) -> tuple[list[list], list[int]]:
+        """Reduced row echelon rows and pivot columns of sparse rows
+        {column: nonzero}: reduced_echelon made dense."""
+        echelon = self.reduced_echelon(rows, cols)
+        out = [[1 if j == c else tail.get(j, 0) for j in range(cols)]
+               for c, tail in echelon.items()]
+        return out + [[0] * cols for _ in range(len(rows) - len(echelon))], list(echelon)
+
+    def rank(self, rows: Iterable[dict], cols: int, start: dict | None = None) -> int:
         """Row rank of sparse rows {column: nonzero}: the number of leading
-        columns of their sparse echelon."""
-        return len(self._echelon(rows, cols))
+        columns of their sparse echelon.  With start, a reduced_echelon, the
+        rank modulo its row space: the leading columns the rows add to it."""
+        return len(self._echelon(rows, cols, start)) - len(start or ())
 
     def to_str(self, a):
         return str(a % self.p)
@@ -508,27 +537,32 @@ def rank(m: ExactMatrix) -> int:
     return m.field.rank(_sparse_rows(m), m.cols)
 
 
-def nullspace_basis(m: ExactMatrix) -> list[ExactMatrix]:
-    """Basis of {x : m x = 0} as a list of column vectors (cols x 1).
+def nullspace_vectors(field, rows: Sequence[dict], cols: int) -> list[list]:
+    """Basis of {x : row . x = 0 for every sparse row {column: nonzero}}.
 
-    One basis vector per free column, with the pivot entries
-    back-substituted from the RREF; each vector is normalized so its first
-    nonzero entry is 1, and the basis size is cols - rank(m) exactly.
-    """
-    f = m.field
-    reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    free_cols = [j for j in range(m.cols) if j not in pivot_set]
+    One vector per free column of the field's reduced_echelon, 1 there and
+    the back-substituted pivot entries, normalized so its first nonzero
+    entry is 1; there are cols - rank of them exactly."""
+    echelon = field.reduced_echelon(rows, cols)
     basis = []
-    for fc in free_cols:
-        v = [f.zero()] * m.cols
-        v[fc] = f.one()
-        for r, pc in enumerate(pivots):
-            v[pc] = f.neg(reduced.entries[r][fc])
-        inv = f.inv(next(x for x in v if x))
-        v = [f.mul(inv, x) for x in v]
-        basis.append(ExactMatrix._of(f, [(x,) for x in v], 1))
+    for fc in range(cols):
+        if fc in echelon:
+            continue
+        v = [field.zero()] * cols
+        v[fc] = field.one()
+        for pc, tail in echelon.items():
+            if fc in tail:
+                v[pc] = field.neg(tail[fc])
+        inv = field.inv(next(x for x in v if x))
+        basis.append([field.mul(inv, x) for x in v])
     return basis
+
+
+def nullspace_basis(m: ExactMatrix) -> list[ExactMatrix]:
+    """Basis of {x : m x = 0} as a list of column vectors (cols x 1): the
+    nullspace_vectors of m's nonzero entries."""
+    return [ExactMatrix._of(m.field, [(x,) for x in v], 1)
+            for v in nullspace_vectors(m.field, _sparse_rows(m), m.cols)]
 
 
 def column_space_basis(m: ExactMatrix) -> list[ExactMatrix]:

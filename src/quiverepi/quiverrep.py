@@ -13,7 +13,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Sequence
 
-from .exactlin import QQ, ExactMatrix, nullspace_basis, column_space_basis, rank, rref
+from .exactlin import (QQ, ExactMatrix, column_space_basis, nullspace_basis, nullspace_vectors,
+                       rank, rref)
 from .quiver import BlockLayout, Quiver, block_layout, check_dims, parse_quiver
 
 
@@ -153,10 +154,13 @@ class Subspace:
         return rank(m.hstack(vector)) == self.dim()
 
 
-def _intertwiner_system(M: Representation, N: Representation):
+def _intertwiner_system(M: Representation, N: Representation, arrows=None):
     """The stacked linear system f_{t(e)} phi_e^M - phi_e^N f_{s(e)} = 0 of
-    Hom(M, N) over all arrows: (rows, unknowns, offsets), entry (p, r) of
-    f_v being unknown offsets[v] + p * dims_M[v] + r (row-major).
+    Hom(M, N): (rows, unknowns, offsets), entry (p, r) of f_v being unknown
+    offsets[v] + p * dims_M[v] + r (row-major).  The rows are those of the
+    arrows named in arrows, in quiver order, or of all arrows by default;
+    the unknowns are the same for any choice, so the systems of two sets of
+    arrows stack into the system of both.
 
     Each row is sparse, a dict {unknown: nonzero coefficient}: it has at most
     dims_M[t(e)] + dims_N[s(e)] entries out of sum_v dims_N[v] * dims_M[v]
@@ -173,6 +177,8 @@ def _intertwiner_system(M: Representation, N: Representation):
         total += N.dims[v] * M.dims[v]
     rows = []
     for a in q.arrows:
+        if arrows is not None and a.name not in arrows:
+            continue
         phi_m = M.maps[a.name].entries
         phi_n = N.maps[a.name].entries
         mt, ms = M.dims[a.target], M.dims[a.source]
@@ -200,16 +206,13 @@ def _intertwiner_system(M: Representation, N: Representation):
 
 
 def hom_basis(M: Representation, N: Representation) -> IntertwinerBasis:
-    """Basis of the intertwiner space Hom(M, N): the nullspace of the
-    intertwiner system, its sparse rows made dense, unpacked into per-vertex
-    matrices (shape dims_N[v] x dims_M[v])."""
+    """Basis of the intertwiner space Hom(M, N): the nullspace_vectors of
+    the intertwiner system's sparse rows, unpacked into per-vertex matrices
+    (shape dims_N[v] x dims_M[v])."""
     rows, total, offsets = _intertwiner_system(M, N)
     f = M.field
-    zero = f.zero()
-    dense = [[row.get(k, zero) for k in range(total)] for row in rows]
     pairs = []
-    for vec in nullspace_basis(ExactMatrix._of(f, dense, total)):
-        flat = vec.column(0)
+    for flat in nullspace_vectors(f, rows, total):
         tup = {}
         for v in M.quiver.vertices:
             m, base = M.dims[v], offsets[v]

@@ -7,12 +7,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quiverepi import cli, epibuild, freealg
 from quiverepi.exactlin import GF, QQ, ExactMatrix
 from quiverepi.epibuild import (
+    _standard_blocks,
     _substitute_freemat,
     _trial_dims,
     AlgebraHom,
@@ -1168,6 +1169,91 @@ class TestSparseImagePasses:
         _, gens = commutant_ideal_gens(h)
         assert [list(g.terms.items()) for g in gens.generators] == \
             [list(g.terms.items()) for g in reference_commutant_gens(h)]
+
+
+def reference_trial_dims(h, loops, assignment, ell):
+    """One specialization trial as a single full system: the module of the
+    substituted arrow blocks in the standard layout, else specialize, and
+    hom_dim of it and of the letters' loop module."""
+    try:
+        dims, blocks = h.standard_blocks()
+    except LayoutMismatch:
+        rep = specialize(h, assignment, size=ell)
+    else:
+        rep = Representation(h.source_quiver, {v: ell * d for v, d in dims.items()},
+                             {a: _substitute_freemat(b, assignment, ell, h.field)
+                              for a, b in blocks.items()}, field=h.field)
+    if rep.total_dim() == 0:
+        return 0, 0
+    letters = Representation(loops, {"*": ell}, assignment, field=h.field)
+    return hom_dim(rep, rep), hom_dim(letters, letters)
+
+
+def assert_trials_match_reference(h, sizes, seed) -> dict:
+    """Run one trial per size in sizes, all sharing one echelons dict as the
+    trials of one specialization test do, against reference_trial_dims;
+    returns the echelons dict."""
+    rng = random.Random(seed)
+    loops = Quiver(["*"], [(x, "*", "*") for x in h.algebra.letters], require_acyclic=False)
+    standard = _standard_blocks(h)
+    echelons = {}
+    for ell in sizes:
+        assignment = {x: ExactMatrix(h.field, [[rng.randrange(-2, 3) for _ in range(ell)]
+                                               for _ in range(ell)])
+                      for x in h.algebra.letters}
+        assert _trial_dims(h, loops, assignment, ell, standard, echelons) == \
+            reference_trial_dims(h, loops, assignment, ell)
+    return echelons
+
+
+def kronecker_with_one_letter():
+    """Canonical Kronecker (1,1) with a -> 1 and b -> y over k<y>: b's rows
+    are multiples of a's at size 1, so they only count modulo a's echelon."""
+    q = parse_quiver("vertices 1 2\narrow a 1 2\narrow b 1 2\n")
+    alg = FreeAlgebra(QQ, ["y"])
+    return substitute_letters(canonical_generic_hom(q, {"1": 1, "2": 1}),
+                              {"x[a]_1_1": 1, "x[b]_1_1": alg.letter("y")}, alg)
+
+
+class TestTrialDims:
+    """_trial_dims, which ranks the letter arrows' rows modulo the per-size
+    echelon of the letter-free arrows' rows, gives the dimensions of the
+    full system of every trial, over QQ and GF(101)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(image_families(), st.sampled_from([None, "x", "y"]), FAMILY_COEFFS,
+           st.lists(st.integers(1, 3), min_size=1, max_size=4), st.integers(0, 2**16))
+    @example(h=kronecker_with_one_letter(), letter=None, value=1, sizes=[1, 2], seed=0)
+    def test_matches_full_system(self, h, letter, value, sizes, seed):
+        # one letter sent to a scalar leaves letter-free the blocks that
+        # hold no other letter, next to blocks that keep it
+        assume(validation_outcome(h._validate) is None)
+        if letter is not None:
+            h = substitute_letters(h, {letter: value})
+        assert_trials_match_reference(h, sizes, seed)
+
+    @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["q", "fp101"])
+    def test_matches_full_system_on_each_arrow_mix(self, field, kronecker, kron_extension_hom):
+        ext = convert_hom_field(kron_extension_hom, field)
+        alg, (name,) = ext.algebra, ext.algebra.letters
+        x = alg.letter(name)
+        t, t_inv = (FreeMat(alg, [[1, c * x], [0, 1]], cols=2) for c in (-1, 1))
+        cases = {
+            # every arrow carries letters
+            "canonical": canonical_generic_hom(kronecker, {"1": 1, "2": 2}, field=field),
+            # a is letter-free, b carries x[b]_1_1
+            "extension": ext,
+            # the letter y is in no image, so both arrows are letter-free
+            "unused letter": substitute_letters(ext, {name: 2}, FreeAlgebra(field, ["y"])),
+            # off the standard layout: specialize, with no echelon kept
+            "conjugated": AlgebraHom(ext.source_quiver, alg, 2,
+                                     {v: t * m * t_inv for v, m in ext.idem_images.items()},
+                                     {a: t * m * t_inv for a, m in ext.arrow_images.items()}),
+        }
+        kept = {label: sorted(assert_trials_match_reference(h, [1, 2, 3, 2, 1, 3], seed))
+                for seed, (label, h) in enumerate(cases.items())}
+        assert kept == {"canonical": [], "extension": [1, 2, 3],
+                        "unused letter": [1, 2, 3], "conjugated": []}
 
 
 def test_epibuild_imports_no_private_freealg_name():

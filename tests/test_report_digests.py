@@ -55,6 +55,7 @@ import random
 import pytest
 
 from quiverepi.cli import main
+from quiverepi.epibuild import glue_vertex, specialization_refutation_test, substitute_letters
 from quiverepi.quiver import parse_quiver
 from quiverepi.quiverrep import is_brick, random_representation, representation_to_text
 
@@ -323,3 +324,33 @@ def test_overlap_hom_digest(tmp_path, monkeypatch, capsys):
     assert main(["verify", "overlap.hom.json"]) == 1
     verify_report = capsys.readouterr().out
     assert hashlib.sha256(verify_report.encode()).hexdigest() == OVERLAP_VERIFY_DIGEST
+
+
+# SHA-256 of specialization_refutation_test(h).to_json_dict(), dumped with
+# sorted keys, at the default 20 trials of sizes 1 and 2, seed 0, where h is
+# the first Kronecker brick of dimension (5,6) drawn from random.Random(3)
+# glued at vertex 2 into M_12(k<x1..x5>), and that hom with every letter
+# sent to x1.  The first passes, each trial logging dims (1, 1), the same
+# log as the glued (3,4) draw; the second is Refuted at trial 1 with its
+# witness assignment.  Their arrows a and b carry no letter, so the trials
+# rank the letter rows modulo the echelon of the rows of a and b, which
+# fill in from the brick's dense blocks.
+GLUED_KR56_TRIAL_DIGESTS = (
+    "8df8ef3473dd072ffd2b663be58bf96c00322d0f7633147ae0a33c8ac264b48c",
+    "052e20dd60406009e4d67f0eff195041658a7f02abf9015a6505f6c98d441fe6",
+)
+
+
+def test_glued_kronecker56_trial_log_digests():
+    q = parse_quiver(QUIVERS["kronecker.quiver"])
+    rng = random.Random(3)
+    while not is_brick(m := random_representation(q, {"1": 5, "2": 6}, rng)):
+        pass
+    h = glue_vertex(m, "2")
+    alg = h.algebra
+    collapsed = substitute_letters(h, {x: alg.letter("x1") for x in alg.letters}, alg)
+    got = tuple(
+        hashlib.sha256(json.dumps(specialization_refutation_test(hom).to_json_dict(),
+                                  sort_keys=True).encode()).hexdigest()
+        for hom in (h, collapsed))
+    assert got == GLUED_KR56_TRIAL_DIGESTS
