@@ -423,22 +423,18 @@ def extend_add_arrows(M: Representation, q_prime: Quiver) -> AlgebraHom:
 
 def generation_identity_check(h: AlgebraHom) -> bool:
     """Verify, for each indeterminate x at global position (i0, j0) of its
-    arrow's image, the identity x * I = sum_i e_{i,i0} h(arrow) e_{j0,i},
-    entry by entry.  True vacuously on an empty alphabet."""
+    arrow's image A, the identity x * I = sum_i e_{i,i0} A e_{j0,i}.  Each
+    summand is A[i0][j0] * e_{i,i}, so the identity holds exactly when entry
+    (i0, j0) of A is x.  True vacuously on an empty alphabet or size 0."""
     if h.letter_coords is None:
         raise WrongProvenance(
             "hom does not carry indeterminate block coordinates "
             "(not produced by extend_add_arrows / canonical_generic_hom)"
         )
     alg = h.algebra
-    n = h.size
     for x in alg.letters:
         i0, j0, arrow_name = h.letter_coords[x]
-        img = h.arrow_images[arrow_name]
-        acc = FreeMat.zeros(alg, n, n)
-        for i in range(n):
-            acc = acc + FreeMat.unit(alg, n, i, i0) * img * FreeMat.unit(alg, n, j0, i)
-        if acc != FreeMat.identity(alg, n).scale(alg.letter(x)):
+        if h.size and h.arrow_images[arrow_name].entry(i0, j0) != alg.letter(x):
             return False
     return True
 
@@ -870,32 +866,18 @@ def linear_relations_from_end(M: Representation) -> list[FreePoly]:
     """Basis of the linear forms sum lambda_ij v_ij annihilating every
     endomorphism of M (flattened to its global block-diagonal matrix);
     each returned form lies in the commutant ideal of M's action hom."""
-    n = M.total_dim()
-    f = M.field
-    layout = M.layout()
+    n, f, offsets = M.total_dim(), M.field, M.layout().offsets
     rows = []
     for tup in end_basis(M).pairs:
-        flat = [[f.zero()] * n for _ in range(n)]
-        for v in M.quiver.vertices:
-            off = layout.offsets[v]
-            fv = tup[v]
-            for i in range(fv.rows):
-                for j in range(fv.cols):
-                    flat[off + i][off + j] = fv.entry(i, j)
-        rows.append([flat[i][j] for i in range(n) for j in range(n)])
-    system = ExactMatrix(f, rows, cols=n * n)
-    algebra = FreeAlgebra(f, commutant_letters(n))
-    out = []
-    for vec in nullspace_basis(system):
-        flat = vec.column(0)
-        terms = {}
-        for i in range(n):
-            for j in range(n):
-                c = flat[i * n + j]
-                if not f.is_zero(c):
-                    terms[(f"v{i + 1}_{j + 1}",)] = c
-        out.append(FreePoly(algebra, terms))
-    return out
+        row = [f.zero()] * (n * n)
+        for v, off in offsets.items():
+            for i, block_row in enumerate(tup[v].entries, off):
+                row[i * n + off:i * n + off + len(block_row)] = block_row
+        rows.append(row)
+    letters = commutant_letters(n)
+    algebra = FreeAlgebra(f, letters)
+    return [FreePoly(algebra, {(x,): c for x, c in zip(letters, vec.column(0)) if c})
+            for vec in nullspace_basis(ExactMatrix._of(f, rows, n * n))]
 
 
 def _substitute_freemat(mat: FreeMat, assignment: dict[str, ExactMatrix],
@@ -964,18 +946,12 @@ def specialize(h: AlgebraHom, assignment: dict[str, ExactMatrix],
                    for v in q.vertices]
     u, block_ranks = idempotent_diagonalize(subst_idems)
     u_inv = solve_or_invert(u)
-    dims = {v: r for v, r in zip(q.vertices, block_ranks)}
-    offsets = {}
-    acc = 0
-    for v in q.vertices:
-        offsets[v] = acc
-        acc += dims[v]
+    dims = dict(zip(q.vertices, block_ranks))
+    lay = block_layout(q, dims)
     maps = {}
     for a in q.arrows:
         conj = u_inv * _substitute_freemat(h.arrow_images[a.name], assignment, ell, field) * u
-        rows = range(offsets[a.target], offsets[a.target] + dims[a.target])
-        cols = range(offsets[a.source], offsets[a.source] + dims[a.source])
-        maps[a.name] = conj.submatrix(rows, cols)
+        maps[a.name] = conj.submatrix(lay.block_range(a.target), lay.block_range(a.source))
     return Representation(q, dims, maps, field=field)
 
 

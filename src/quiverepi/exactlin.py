@@ -7,30 +7,22 @@ arithmetic, each operation returning that form, so the same matrix code
 runs over either field.  Besides scalar operations, each Field supplies
 dot(xs, ys), the row kernel of ExactMatrix products.
 
-Each Field supplies one elimination loop, which gives its Field.rank and
-its reduced row echelon form, both as Field.reduced_echelon ({pivot
-column: rest of its row}) and as Field.eliminate (dense rows), and all of
-them take sparse rows, dicts {column: nonzero entry}.  That is how
-quiverrep's intertwiner systems come (each of their rows has at most
-d_s + d_t nonzeros), and rref(m) and rank(m) hand the field the matrix's
-nonzero entries the same way.  Field.rank(rows, cols, start) is the rank
-of rows modulo the row space of a reduced echelon start, so the echelon of
-rows that many systems share is computed once.  GF(p) runs an incremental
-sparse echelon, reducing each row by the pivot rows kept so far (at first
-a copy of start, if given) until it vanishes or leads a new column; its
-RREF back-substitutes that echelon, last pivot first.  QQ scales each row
-to dense Python integers (by the lcm of its denominators) and runs a
+Each Field has one elimination loop behind two entry points, both on
+sparse rows {column: nonzero entry}: rank(rows, cols, start), the rank
+modulo the row space of a reduced echelon start (so the echelon of rows
+that many systems share is computed once), and reduced_echelon(rows,
+cols), the RREF as {pivot column: rest of its row}.  quiverrep's
+intertwiner rows come that way, and rref(m) and rank(m) hand over a
+matrix's nonzero entries the same way; rref alone makes dense rows.  GF(p)
+runs an incremental sparse echelon, reducing each row by the pivot rows
+kept so far until it vanishes or leads a new column, and back-substitutes
+it for the RREF.  QQ scales each row to Python integers and runs a
 fraction-free elimination (Bareiss's exact division by the previous
-pivot): forward only for the rank, which forms no Fraction at all, and
-Gauss-Jordan for the RREF, forming a Fraction only for a non-integral
-entry of the final rows.  rref, nullspace_vectors and everything that
-needs a basis or an inverse (nullspace_basis, column_space_basis,
-solve_or_invert) call it.  The reduced row echelon form and its pivot
-columns are unique, so both fields give the same result as any other
-exact elimination.
-Everything is exact: no floats, no pivoting heuristics.  The elimination
+pivot): forward only for the rank, forming no Fraction, and Gauss-Jordan
+for the RREF, forming a Fraction only for a non-integral entry.  The RREF
+is unique, so both fields give what any exact elimination gives.  The
 pivot rule is fixed (first nonzero entry scanning rows top to bottom,
-columns left to right) so every result is deterministic.
+columns left to right), so every result is deterministic.
 
 The public ExactMatrix constructor coerces every entry and rejects ragged
 rows.  Operations whose entries already lie in the field build their result
@@ -108,11 +100,6 @@ class RationalField:
     def neg(self, a):
         return -a
 
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero in QQ")
-        return _q(Fraction(a, b))
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero in QQ")
@@ -126,9 +113,9 @@ class RationalField:
 
     def _echelon(self, a: list[list[int]], cols: int,
                  full: bool) -> tuple[list[list], list[int], list[int]]:
-        """The fraction-free pivot loop shared by eliminate and rank, run in
-        place on integer rows a, each a row of the input scaled by the lcm
-        of its denominators.
+        """The fraction-free pivot loop shared by reduced_echelon and rank,
+        run in place on integer rows a, each a row of the input scaled by
+        the lcm of its denominators.
 
         The elimination runs on integers, as Bareiss's: at pivot p in column c
         every row to be cleared becomes (p*row - row[c]*pivot_row) / prev,
@@ -175,25 +162,16 @@ class RationalField:
                 break
         return a, level, pivots
 
-    def eliminate(self, rows: Sequence[dict], cols: int) -> tuple[list[list], list[int]]:
-        """Reduced row echelon rows and pivot columns of sparse rows
-        {column: nonzero}, fraction-free.
-
-        After the full pivot loop, pivot row i is a[i] / level[i] (its pivot
-        entry equals level[i]), the unique RREF; the other rows are zero.
-        """
-        a, level, pivots = self._echelon(_integer_rows(rows, cols), cols, True)
-        r = len(pivots)
-        out = [[x // d if x % d == 0 else Fraction(x, d) for x in row]
-               for row, d in zip(a[:r], level)]
-        return out + [[0] * cols] * (len(a) - r), pivots
-
     def reduced_echelon(self, rows: Sequence[dict], cols: int) -> dict[int, dict]:
         """The RREF of sparse rows as {pivot column: the rest of its row},
-        nonzero entries only, the leading 1 implied; pivots ascending."""
-        reduced, pivots = self.eliminate(rows, cols)
-        return {c: {j: x for j, x in enumerate(row) if x and j != c}
-                for c, row in zip(pivots, reduced)}
+        nonzero entries only, the leading 1 implied; pivots ascending.
+
+        After the full pivot loop, pivot row i is a[i] / level[i] (its pivot
+        entry equals level[i]), and it is zero left of its pivot."""
+        a, level, pivots = self._echelon(_integer_rows(rows, cols), cols, True)
+        return {c: {j: x // d if x % d == 0 else Fraction(x, d)
+                    for j, x in enumerate(row[c + 1:], c + 1) if x}
+                for c, row, d in zip(pivots, a, level)}
 
     def rank(self, rows: Iterable[dict], cols: int, start: dict | None = None) -> int:
         """Row rank of sparse rows {column: nonzero}, by the forward-only
@@ -218,9 +196,35 @@ class RationalField:
         return "QQ"
 
 
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_BASES_BOUND = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
-    """Primality by trial division (the primes used here are small)."""
-    return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+    """Primality by the strong probable-prime test to the 13 prime bases 2
+    to 41, exact for p below 3,317,044,064,679,887,385,961,981, about
+    2^81.5 (Sorenson and Webster 2017); a larger p raises ValueError.  Once
+    no base divides p, every p below 43^2 is prime."""
+    if p >= _BASES_BOUND:
+        raise ValueError(f"cannot decide whether {p} is prime: "
+                         f"the prime must be below {_BASES_BOUND}")
+    if p < 2 or any(p % b == 0 for b in _BASES):
+        return p in _BASES
+    if p < 43 * 43:
+        return True
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    d = (p - 1) >> s
+    for b in _BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class PrimeField:
@@ -259,9 +263,6 @@ class PrimeField:
     def neg(self, a):
         return (-a) % self.p
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def inv(self, a):
         a %= self.p
         if a == 0:
@@ -276,7 +277,7 @@ class PrimeField:
 
     def _echelon(self, rows: Iterable[dict], cols: int,
                  start: dict | None = None) -> dict[int, dict]:
-        """The incremental sparse echelon shared by eliminate and rank.
+        """The incremental sparse echelon shared by reduced_echelon and rank.
 
         Maps each leading column to the rest of a kept row scaled to a
         leading 1; each row is reduced by them, its smallest column first,
@@ -322,14 +323,6 @@ class PrimeField:
                 for j, y in echelon[k].items():
                     tail[j] = (tail.get(j, 0) - q * y) % p
         return {c: {j: x for j, x in echelon[c].items() if x} for c in pivots}
-
-    def eliminate(self, rows: Sequence[dict], cols: int) -> tuple[list[list], list[int]]:
-        """Reduced row echelon rows and pivot columns of sparse rows
-        {column: nonzero}: reduced_echelon made dense."""
-        echelon = self.reduced_echelon(rows, cols)
-        out = [[1 if j == c else tail.get(j, 0) for j in range(cols)]
-               for c, tail in echelon.items()]
-        return out + [[0] * cols for _ in range(len(rows) - len(echelon))], list(echelon)
 
     def rank(self, rows: Iterable[dict], cols: int, start: dict | None = None) -> int:
         """Row rank of sparse rows {column: nonzero}: the number of leading
@@ -482,11 +475,6 @@ class ExactMatrix:
         return ExactMatrix._of(f, [[f.mul(c, x) for x in row] for row in self.entries],
                                self.cols)
 
-    def transpose(self) -> "ExactMatrix":
-        if not self.rows:
-            return ExactMatrix.zeros(self.field, self.cols, 0)
-        return ExactMatrix._of(self.field, zip(*self.entries), self.rows)
-
     def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.rows != other.rows:
             raise ValueError("hstack row mismatch")
@@ -526,10 +514,15 @@ def _sparse_rows(m: ExactMatrix) -> list[dict]:
 
 
 def rref(m: ExactMatrix) -> tuple[ExactMatrix, list[int]]:
-    """Reduced row echelon form and pivot column list (fixed pivot rule),
-    by the field's own elimination."""
-    rows, pivots = m.field.eliminate(_sparse_rows(m), m.cols)
-    return ExactMatrix._of(m.field, rows, m.cols), pivots
+    """Reduced row echelon form and pivot column list (fixed pivot rule):
+    the field's reduced_echelon made dense, zero rows last."""
+    f, cols = m.field, m.cols
+    one, zero = f.one(), f.zero()
+    echelon = f.reduced_echelon(_sparse_rows(m), cols)
+    rows = [[one if j == c else tail.get(j, zero) for j in range(cols)]
+            for c, tail in echelon.items()]
+    rows += [[zero] * cols] * (m.rows - len(echelon))
+    return ExactMatrix._of(f, rows, cols), list(echelon)
 
 
 def rank(m: ExactMatrix) -> int:

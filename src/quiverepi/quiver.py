@@ -109,39 +109,34 @@ class Quiver:
 
 
 def find_cycle(q: Quiver) -> list[str] | None:
-    """Return the arrow names of one directed cycle, or None if acyclic."""
+    """Return the arrow names of one directed cycle, or None if acyclic.
+
+    A depth-first search on an explicit stack, from the roots and along the
+    out-arrows in declared order, skipping finished vertices.  An arrow back
+    to a vertex on the current path closes the cycle of the path's arrows
+    from that vertex on, so a loop gives [loop]."""
     out: dict[str, list[Arrow]] = {v: [] for v in q.vertices}
     for a in q.arrows:
         out[a.source].append(a)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in q.vertices}
-    stack_arrows: list[Arrow] = []
-
-    def dfs(v: str) -> list[str] | None:
-        color[v] = GREY
-        for a in out[v]:
-            if color[a.target] == GREY:
-                cycle = [a.name]
-                for back in reversed(stack_arrows):
-                    cycle.append(back.name)
-                    if back.source == a.target:
-                        break
-                cycle.reverse()
-                return cycle
-            if color[a.target] == WHITE:
-                stack_arrows.append(a)
-                found = dfs(a.target)
-                stack_arrows.pop()
-                if found is not None:
-                    return found
-        color[v] = BLACK
-        return None
-
-    for v in q.vertices:
-        if color[v] == WHITE:
-            found = dfs(v)
-            if found is not None:
-                return found
+    done: set[str] = set()
+    for root in q.vertices:
+        if root in done:
+            continue
+        # (vertex, the arrow into it, its out-arrows not yet followed)
+        stack = [(root, None, iter(out[root]))]
+        depth = {root: 0}  # vertex on the current path -> its stack index
+        while stack:
+            v, _, arrows = stack[-1]
+            a = next(arrows, None)
+            if a is None:
+                stack.pop()
+                del depth[v]
+                done.add(v)
+            elif a.target in depth:
+                return [name for _, name, _ in stack[depth[a.target] + 1:]] + [a.name]
+            elif a.target not in done:
+                depth[a.target] = len(stack)
+                stack.append((a.target, a.name, iter(out[a.target])))
     return None
 
 

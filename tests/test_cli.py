@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -68,6 +69,37 @@ class TestCheck:
         code, report = run(capsys, ["--field", "fp:5", "check", workdir / "brick.rep"])
         assert code == 0
         assert report["brick"] is True
+
+    def test_large_prime_field(self, workdir, capsys):
+        start = time.perf_counter()
+        code, report = run(capsys, ["--field", f"fp:{2 ** 61 - 1}", "check",
+                                    workdir / "brick.rep"])
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert report["brick"] is True
+
+    @pytest.mark.parametrize("p, message", [
+        (4, "4 is not prime"),
+        (4835703278458516698824647, "the prime must be below"),  # an 82-bit prime
+    ])
+    def test_field_needs_a_decidable_prime(self, workdir, capsys, p, message):
+        code = main(["--field", f"fp:{p}", "check", str(workdir / "brick.rep")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and message in captured.err
+
+    def test_long_path_quiver(self, workdir, capsys):
+        n = 1200
+        (workdir / "a1200.quiver").write_text(
+            "vertices " + " ".join(map(str, range(n))) + "\n"
+            + "".join(f"arrow a{i} {i} {i + 1}\n" for i in range(n - 1)))
+        (workdir / "a1200.rep").write_text(
+            "quiver a1200.quiver\ndims " + " ".join(f"{i}=1" for i in range(n)) + "\n"
+            + "".join(f"map a{i} 1\n" for i in range(n - 1)))
+        code, report = run(capsys, ["check", workdir / "a1200.rep"])
+        assert code == 0
+        assert (report["total_dim"], report["brick"], report["exceptional"]) == (n, True, True)
 
     @pytest.mark.parametrize("dims", ["1=1 1=2 2=1", "1=1 2=1 1=1"])
     def test_vertex_repeated_in_dims_line(self, workdir, capsys, dims):

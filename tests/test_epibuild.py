@@ -191,6 +191,13 @@ class TestGenerationIdentity:
                                letter_coords=h.letter_coords, provenance="extend")
         assert not generation_identity_check(corrupted)
 
+    def test_swapped_letter_coords_fail(self, kronecker):
+        h = canonical_generic_hom(kronecker, {"1": 1, "2": 2})
+        assert generation_identity_check(h)
+        x, y = "x[a]_1_1", "x[b]_2_1"
+        h.letter_coords = {**h.letter_coords, x: h.letter_coords[y], y: h.letter_coords[x]}
+        assert not generation_identity_check(h)
+
     def test_wrong_provenance(self, a2_brick):
         h = build_brick_hom(a2_brick)
         with pytest.raises(WrongProvenance):

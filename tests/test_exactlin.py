@@ -47,7 +47,7 @@ class TestFields:
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            QQ.div(QQ.one(), QQ.zero())
+            QQ.inv(QQ.zero())
         with pytest.raises(ZeroDivisionError):
             GF(7).inv(0)
 
@@ -60,6 +60,27 @@ class TestFields:
     def test_prime_validation(self):
         with pytest.raises(ValueError):
             GF(6)
+
+    def test_is_prime_agrees_with_sympy(self):
+        assert [exactlin.is_prime(n) for n in range(20001)] == \
+            [sympy.isprime(n) for n in range(20001)]
+        rng = random.Random(5)
+        for bits in range(15, 82):
+            for _ in range(4):
+                n = rng.randrange(2 ** (bits - 1), min(2 ** bits, exactlin._BASES_BOUND))
+                assert exactlin.is_prime(n) == sympy.isprime(n), n
+
+    @pytest.mark.parametrize("n", [3215031751, 3825123056546413051,
+                                   318665857834031151167461])
+    def test_strong_pseudoprimes_are_composite(self, n):
+        # strong pseudoprimes to the bases 2..7, 2..23 and 2..37 respectively
+        assert not exactlin.is_prime(n)
+
+    def test_primality_beyond_the_bound_is_refused(self):
+        assert exactlin.is_prime(2 ** 61 - 1)
+        assert exactlin.is_prime(3317044064679887385961813)  # the largest prime below it
+        with pytest.raises(ValueError, match="below 3317044064679887385961981"):
+            exactlin.is_prime(exactlin._BASES_BOUND)
 
     def test_parse_field(self):
         assert parse_field("q") == QQ
@@ -425,7 +446,7 @@ class TestCanonicalRationals:
             (QQ.dot(xs, ys), sum((Fraction(x) * y for x, y in pairs), Fraction(0))),
         ]
         if b:
-            checks += [(QQ.div(a, b), fa / fb), (QQ.inv(b), 1 / fb)]
+            checks.append((QQ.inv(b), 1 / fb))
         for got, want in checks:
             assert is_canonical_rational(got)
             assert got == want
@@ -433,9 +454,10 @@ class TestCanonicalRationals:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.lists(RATIONALS, min_size=3, max_size=3), max_size=4))
     def test_eliminate_returns_the_canonical_form(self, rows):
-        reduced, pivots = QQ.eliminate(sparse(rows), 3)
-        assert all(is_canonical_rational(x) for row in reduced for x in row)
-        assert (tuple(map(tuple, reduced)), pivots) == ref_rref(QQ, rows, 3)
+        echelon = QQ.reduced_echelon(sparse(rows), 3)
+        assert all(is_canonical_rational(x) for tail in echelon.values() for x in tail.values())
+        expected = ref_echelon(QQ, rows, 3)
+        assert (list(echelon), echelon) == (list(expected), expected)
 
 
 FIELDS = st.sampled_from([QQ, GF(101)])
@@ -498,7 +520,7 @@ class TestKernelEquivalence:
         c = data.draw(SCALARS)
         assert_canonical(a.scale(c))
         assert a.scale(c).entries == ref_scale(f, a.entries, c)
-        for derived in (a + a, a - a, -a, a.transpose(), a.hstack(a),
+        for derived in (a + a, a - a, -a, a.hstack(a),
                         a.submatrix(range(rows), range(inner))):
             assert_canonical(derived)
 
@@ -571,8 +593,16 @@ def rank_inputs(draw):
 
 def sparse(rows):
     """Dense rows as the dict rows {column: nonzero} that Field.rank and
-    Field.eliminate take."""
+    Field.reduced_echelon take."""
     return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def ref_echelon(field, rows, cols):
+    """ref_rref in the form Field.reduced_echelon gives: {pivot column: the
+    nonzero non-pivot entries of its row}."""
+    reduced, pivots = ref_rref(field, rows, cols)
+    return {c: {j: x for j, x in enumerate(row) if x and j != c}
+            for c, row in zip(pivots, reduced)}
 
 
 @st.composite
@@ -608,7 +638,7 @@ def sparse_rank_inputs(draw):
 class TestForwardRank:
     """Field.rank on sparse rows, and rank on a dense matrix, count exactly
     the pivots of the reference Gauss-Jordan loop ref_rref, and leave their
-    input alone; Field.eliminate, which runs on the same loop as
+    input alone; rref, whose Field.reduced_echelon runs on the same loop as
     Field.rank, gives ref_rref's rows and pivots."""
 
     @settings(max_examples=300, deadline=None)
@@ -619,8 +649,8 @@ class TestForwardRank:
         expected = len(pivots)
         assert field.rank(sparse(rows), cols) == expected
         assert rank(ExactMatrix._of(field, rows, cols)) == expected
-        out, out_pivots = field.eliminate(sparse(rows), cols)
-        assert (tuple(map(tuple, out)), out_pivots) == (reduced, pivots)
+        out, out_pivots = rref(ExactMatrix._of(field, rows, cols))
+        assert (out.entries, out_pivots) == (reduced, pivots)
         if field == QQ and rows and cols:
             assert expected == to_sympy(ExactMatrix._of(field, rows, cols)).rank()
 
@@ -638,3 +668,24 @@ class TestForwardRank:
             copy = [dict(row) for row in dicts]
             assert field.rank(dicts, 3) == len(ref_rref(field, rows, 3)[1])
             assert dicts == copy
+
+
+class TestReducedEchelon:
+    """Field.reduced_echelon on sparse rows is ref_rref in dict form: the
+    same pivots in ascending order, each tail the nonzero non-pivot entries
+    of its row in the field's canonical form; the input rows are left
+    unchanged."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_rank_inputs())
+    def test_reduced_echelon_is_the_reference_rref(self, case):
+        field, rows, cols = case
+        copy = [dict(row) for row in rows]
+        echelon = field.reduced_echelon(rows, cols)
+        assert rows == copy
+        dense = [[row.get(j, field.zero()) for j in range(cols)] for row in rows]
+        expected = ref_echelon(field, dense, cols)
+        assert list(echelon) == list(expected) == sorted(expected)
+        assert echelon == expected
+        for x in (x for tail in echelon.values() for x in tail.values()):
+            assert is_canonical_rational(x) if field == QQ else 0 < x < field.p

@@ -30,6 +30,11 @@ class TestParse:
             parse_quiver("vertices 1\narrow a 1 1\n")
         assert exc.value.cycle == ["a"]
 
+    def test_loop_below_the_root_is_the_whole_cycle(self):
+        with pytest.raises(CycleError) as exc:
+            parse_quiver("vertices 1 2\narrow p 1 2\narrow l 2 2\n")
+        assert exc.value.cycle == ["l"]
+
     def test_comments_and_blank_lines(self):
         q = parse_quiver("# a quiver\nvertices 1 2  # inline\n\narrow a 1 2\n")
         assert q.vertices == ("1", "2")
