@@ -671,23 +671,25 @@ def _rule(f, terms: dict, lead: Word, combo: dict) -> tuple[dict, dict]:
 class LinearElimination:
     """Pre-elimination of an ideal's generators of degree at most 1.
 
-    One pass takes the generators of degree <= 1 in index order, then the
-    rest.  Each is reduced to its normal form by the rules so far.  One of
-    degree <= 1 whose normal form has a letter is made monic at its leading
-    letter (its pivot), which gives the rule pivot -> (tail, combo) of
-    _rewrite: pivot == tail + sum(combo * products).  Earlier rules are
-    never rewritten: a later pivot left in an earlier tail is rewritten
-    when the tail is used.  A normal form of zero is dropped; a nonzero
-    constant, and every nonzero normal form of degree >= 2, joins the
-    residual generators.
+    The pivot generators are those of degree <= 1 outside the span of 1
+    and the earlier ones: the pivot columns, but column 0, of the reduced
+    echelon of the transpose, column 0 being the vector of 1 and column k
+    the k-th generator of degree <= 1.  The rules are the reduced echelon
+    of the pivot generators' rows, with a column per letter in descending
+    monomial order, one for the constant and one per pivot generator.  A
+    row p + sum t_j x_j + t | sum m_i e_i, monic at its leading letter p,
+    is the rule p -> (-sum t_j x_j - t, sum m_i g_i) of _rewrite: p ==
+    tail + sum(combo * products), and no tail holds a pivot.  The pivot
+    generators are independent modulo 1, so no other combination of them
+    gives p - tail.
 
     Rewriting by these rules (normal_form) is the algebra map sending each
-    pivot letter to its normal form.  It kills every rule, and no two pivots
+    pivot letter to its tail.  It kills every rule, and no two pivots
     overlap, so the normal form is unique; rewriting the leftmost pivot
     first also fixes the combination.  The residual generators are the
-    nonzero normal forms of the generators of degree >= 2 and the constant
-    ones, in index order, over the non-pivot letters in their original
-    order, each weighted by its original generator's degree.
+    nonzero normal forms of the other generators, constants included, in
+    index order, over the non-pivot letters in their original order, each
+    weighted by its original generator's degree.
     """
 
     def __init__(self, gens: IdealGens):
@@ -695,21 +697,29 @@ class LinearElimination:
         algebra = gens.algebra
         f = algebra.field
         one = f.one()
-        self.rules: dict[Word, tuple[dict, dict]] = {}
+        linear = [gi for gi, g in enumerate(gens.generators) if g.degree() <= 1]
+        transpose: dict[Word, dict] = {(): {0: one}}
+        for k, gi in enumerate(linear, 1):
+            for w, c in gens.generators[gi].terms.items():
+                transpose.setdefault(w, {})[k] = c
+        pivots = [linear[k - 1] for k in f.reduced_echelon(list(transpose.values()),
+                                                            len(linear) + 1) if k]
+        words = [(x,) for x in reversed(algebra.letters)] + [()]
+        column = {w: j for j, w in enumerate(words)}
+        m = len(words)
+        rows = [{**{column[w]: c for w, c in gens.generators[gi].terms.items()}, m + i: one}
+                for i, gi in enumerate(pivots)]
+        self.rules: dict[Word, tuple[dict, dict]] = {
+            words[p]: ({words[j]: f.neg(t) for j, t in tail.items() if j < m},
+                       {((), pivots[j - m], ()): t for j, t in tail.items() if j >= m})
+            for p, tail in f.reduced_echelon(rows, m + len(pivots)).items()}
         residual = []  # (generator index, normal form, lift)
-        for gi, g in sorted(enumerate(gens.generators), key=lambda item: item[1].degree() > 1):
-            terms, combo = self.normal_form(g.terms)
-            if not terms:
-                continue
-            # the combination giving g_gi - sum(combo * products)
-            lift = {k: f.neg(c) for k, c in combo.items()}
-            _add_term(f, lift, ((), gi, ()), one)
-            lead = max(terms, key=algebra.monomial_key)
-            if lead and g.degree() <= 1:
-                self.rules[lead] = _rule(f, terms, lead, lift)
-            else:
-                residual.append((gi, terms, lift))
-        residual.sort(key=lambda item: item[0])
+        for gi in sorted(set(range(len(gens))) - set(pivots)):
+            terms, combo = self.normal_form(gens.generators[gi].terms)
+            if terms:
+                # g_gi - sum(combo * products), combo holding pivot generators only
+                residual.append((gi, terms, {**{k: f.neg(c) for k, c in combo.items()},
+                                             ((), gi, ()): one}))
         self.algebra = FreeAlgebra(f, [x for x in algebra.letters if (x,) not in self.rules])
         self.residual = IdealGens(self.algebra, [FreePoly(self.algebra, terms)
                                                  for _, terms, _ in residual])

@@ -192,7 +192,7 @@ def parse_quiver(text: str) -> Quiver:
     or more `arrow <id> <src> <tgt>`.  `#` starts a comment.
     """
     vertices: list[str] | None = None
-    arrows: list[Arrow] = []
+    arrows: dict[str, Arrow] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -205,12 +205,14 @@ def parse_quiver(text: str) -> Quiver:
             if len(tokens) < 2:
                 raise ParseError("'vertices' line needs at least one vertex", lineno)
             vertices = tokens[1:]
-            for i, v in enumerate(vertices):
+            declared = set()
+            for v in vertices:
                 if not _IDENT.match(v):
                     raise ParseError(f"bad vertex identifier {v!r}", lineno,
                                      raw.index(v) + 1)
-                if v in vertices[:i]:
+                if v in declared:
                     raise DuplicateIdentifier(f"duplicate vertex {v!r} on line {lineno}")
+                declared.add(v)
         elif head == "arrow":
             if vertices is None:
                 raise ParseError("'arrow' before 'vertices'", lineno)
@@ -220,18 +222,16 @@ def parse_quiver(text: str) -> Quiver:
             for tok in (name, src, tgt):
                 if not _IDENT.match(tok):
                     raise ParseError(f"bad identifier {tok!r}", lineno, raw.index(tok) + 1)
-            if any(a.name == name for a in arrows):
+            if name in arrows:
                 raise DuplicateIdentifier(f"duplicate arrow {name!r} on line {lineno}")
-            if src not in vertices:
+            if src not in declared:
                 raise ParseError(f"undeclared source vertex {src!r}", lineno)
-            if tgt not in vertices:
+            if tgt not in declared:
                 raise ParseError(f"undeclared target vertex {tgt!r}", lineno)
-            arrows.append(Arrow(name, src, tgt))
+            arrows[name] = Arrow(name, src, tgt)
         else:
             raise ParseError(f"unknown directive {head!r}", lineno)
-    if vertices is None:
-        vertices = []
-    return Quiver(vertices, arrows)
+    return Quiver(vertices or [], arrows.values())
 
 
 def quiver_to_text(q: Quiver) -> str:

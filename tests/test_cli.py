@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quiverepi import cli
 from quiverepi.cli import main
@@ -443,3 +447,69 @@ class TestMalformedHom:
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+
+FUZZ_FILES = {
+    "a2.quiver": A2,
+    "kronecker.quiver": KRONECKER,
+    "brick.rep": "quiver a2.quiver\ndims 1=1 2=1\nmap a 1\n",
+    "pre12.rep": "quiver kronecker.quiver\ndims 1=1 2=2\nmap a 1 ; 0\nmap b 0 ; 1\n",
+}
+FUZZ_CALLS = [
+    ["check", "brick.rep"],
+    ["check", "pre12.rep"],
+    ["build", "extend", "brick.rep", "kronecker.quiver", "--out", "out.hom.json"],
+    ["verify", "ext.hom.json", "--degree", "2", "--trials", "2", "--sizes", "1"],
+]
+# characters the mutations insert: the syntax of every input format
+FUZZ_CHARS = "0123456789abqvx_ .;=#-+*/[]{}\":,\n"
+
+
+@st.composite
+def character_mutations(draw, text):
+    """text after one to three random character insertions, deletions and
+    replacements."""
+    chars = list(text)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["insert", "delete", "replace"] if chars else ["insert"]))
+        i = draw(st.integers(0, len(chars) - (kind != "insert")))
+        if kind == "delete":
+            del chars[i]
+        else:
+            chars[i:i + (kind == "replace")] = draw(st.sampled_from(FUZZ_CHARS))
+    return "".join(chars)
+
+
+@pytest.fixture(scope="module")
+def fuzz_texts(tmp_path_factory):
+    """The shipped quiver and representation texts, and the hom file that
+    `build extend` writes for the A2 brick into the Kronecker quiver."""
+    work = tmp_path_factory.mktemp("fuzz-seed")
+    for name, text in FUZZ_FILES.items():
+        (work / name).write_text(text)
+    hom = work / "ext.hom.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["build", "extend", str(work / "brick.rep"),
+                     str(work / "kronecker.quiver"), "--out", str(hom)]) == 0
+    return {**FUZZ_FILES, "ext.hom.json": hom.read_text()}
+
+
+class TestMutatedInputs:
+    """Every input that random character mutations make of the shipped
+    texts ends in a verdict or exit 2 with a message: never a traceback."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_cli_exits_cleanly(self, fuzz_texts, tmp_path_factory, data):
+        name = data.draw(st.sampled_from(sorted(fuzz_texts)))
+        work = tmp_path_factory.mktemp("fuzz")
+        for fname, text in fuzz_texts.items():
+            (work / fname).write_text(text)
+        (work / name).write_text(data.draw(character_mutations(fuzz_texts[name])))
+        for argv in FUZZ_CALLS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([str(work / a) if a.endswith((".quiver", ".rep", ".json")) else a
+                             for a in argv])
+            assert code in (0, 1, 2, 3), (argv, err.getvalue())
+            assert "Traceback" not in err.getvalue()

@@ -44,6 +44,7 @@ from quiverepi.epibuild import (
     homs_equal_up_to_renaming,
     linear_relations_from_end,
     localisation_presentation,
+    required_elements,
     specialization_refutation_test,
     specialize,
     substitute_letters,
@@ -58,6 +59,7 @@ from quiverepi.quiverrep import (
     hom_basis,
     hom_dim,
     is_brick,
+    random_representation,
 )
 
 
@@ -654,6 +656,31 @@ class TestVerifyEpimorphism:
         assert self._stages_used(kron_extension_hom, monkeypatch)[0]
         monkeypatch.setattr(freealg, "LinearElimination", CorruptRows)
         self._assert_never_verified(kron_extension_hom, tmp_path)
+
+    def test_glued_kronecker34_membership_work(self, kronecker, monkeypatch):
+        # a work count, not a timing: the terms that decide_memberships adds
+        # on the glued (3,4) draw (M_8(k<x1,x2,x3>)) grow with any extra
+        # rewriting.  Linear rules that keep a later pivot in an earlier
+        # tail make every target walk that chain again: 11,528 calls,
+        # against 3,151 with fully reduced rules
+        rng = random.Random(3)
+        while not is_brick(m := random_representation(kronecker, {"1": 3, "2": 4}, rng)):
+            pass
+        h = glue_vertex(m, "2")
+        combined, gens = commutant_ideal_gens(h)
+        targets = [poly for _, poly in required_elements(h, combined)]
+        calls = 0
+        add_term = freealg._add_term
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return add_term(*args)
+
+        monkeypatch.setattr(freealg, "_add_term", counting)
+        results = freealg.decide_memberships(gens, targets, 5)
+        assert all(res.member for res in results)
+        assert calls <= 4000
 
     def test_tiny_bound_undetermined(self, kron_extension_hom):
         rep = verify_epimorphism(kron_extension_hom, 1)

@@ -626,25 +626,25 @@ class TestLinearPreElimination:
         assert nf == (x * x).terms
         assert combo == {(("x",), 0, ()): 1}
 
-    def test_new_pivot_is_rewritten_in_earlier_rows(self):
+    def test_later_pivot_is_reduced_out_of_earlier_rule(self):
         alg = FreeAlgebra(QQ, ["x", "y", "z"])
         x, y, z = (alg.letter(n) for n in "xyz")
         gens = IdealGens(alg, [z - y, y - x])
         elim = LinearElimination(gens)
-        # z - y, then y - x: the row of z keeps the later pivot y in its
-        # tail, and normal_form rewrites it there, as z - x = g0 + g1
-        assert elim.rules[("z",)] == ({("y",): 1}, {((), 0, ()): 1})
+        # z - y, then y - x: the rule of z holds no later pivot y in its
+        # tail, as z - x = g0 + g1
+        assert elim.rules[("z",)] == ({("x",): 1}, {((), 0, ()): 1, ((), 1, ()): 1})
         nf, combo = elim.normal_form((z * y).terms)
         assert nf == (x * x).terms
         assert combo == {((), 0, ("y",)): 1, ((), 1, ("y",)): 1, (("x",), 1, ()): 1}
 
 
 class ReferenceElimination(LinearElimination):
-    """LinearElimination with the interreducing rule builder it replaced,
-    the reference that its one pass is checked against: the generators of
-    degree <= 1 in one loop, the rest in a second, and each new pivot
-    rewritten into the tails of the earlier rules, so no tail holds a
-    pivot."""
+    """LinearElimination with an interreducing rule builder, the reference
+    that its reduced echelon rules are checked against: the generators of
+    degree <= 1 reduced one by one in index order, each new pivot rewritten
+    into the tails of the earlier rules, so no tail holds a pivot, and the
+    rest in a second loop."""
 
     def __init__(self, gens):
         self.gens = gens
@@ -691,10 +691,11 @@ class ReferenceElimination(LinearElimination):
         self._lifts = [lift for _, _, lift in residual]
 
 
-class TestOnePassElimination:
-    """LinearElimination's one pass, whose rules may keep a later pivot in
-    an earlier tail, gives the interreducing reference's normal forms,
-    combinations, residual generators, weights, lifts and letters."""
+class TestEchelonElimination:
+    """LinearElimination's rules, read from the reduced echelon of the
+    pivot generators, are the interreducing reference's, and so are its
+    normal forms, combinations, residual generators, weights, lifts and
+    letters."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -703,6 +704,7 @@ class TestOnePassElimination:
         alg = FreeAlgebra(field, ["x", "y", "z"])
         gens = IdealGens(alg, data.draw(mixed_generators(alg)))
         got, want = LinearElimination(gens), ReferenceElimination(gens)
+        assert got.rules == want.rules
         assert got.algebra.letters == want.algebra.letters
         assert ([g.terms for g in got.residual.generators]
                 == [g.terms for g in want.residual.generators])

@@ -1,6 +1,9 @@
+import time
+
 import pytest
 
 from quiverepi.quiver import (
+    Arrow,
     CycleError,
     DuplicateIdentifier,
     KeyMismatch,
@@ -65,6 +68,17 @@ class TestParse:
         q = parse_quiver(text)
         assert quiver_to_text(q) == text
         assert parse_quiver(quiver_to_text(q)) == q
+
+    def test_long_path_parses_in_linear_time(self):
+        # A_20000 took about 14 s when vertices and arrows were looked up in
+        # lists; with a set and a dict it is a fraction of a second
+        n = 20000
+        text = ("vertices " + " ".join(map(str, range(n))) + "\n"
+                + "".join(f"arrow a{i} {i} {i + 1}\n" for i in range(n - 1)))
+        start = time.perf_counter()
+        q = parse_quiver(text)
+        assert time.perf_counter() - start < 3
+        assert len(q.vertices) == n and q.arrows[-1] == Arrow(f"a{n - 2}", str(n - 2), str(n - 1))
 
 
 class TestAcyclicity:
