@@ -39,12 +39,18 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _entries(text: str, option: str) -> list[str]:
+    """The comma-separated entries of a list option, stripped; an empty
+    one, from a doubled or trailing comma, is an input error."""
+    entries = [tok.strip() for tok in text.split(",")]
+    if not all(entries):
+        raise ValueError(f"{option} has an empty entry in {text!r}")
+    return entries
+
+
 def _parse_dims(text: str) -> dict[str, int]:
     dims = {}
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in _entries(text, "--dims"):
         if "=" not in chunk:
             raise ValueError(f"bad dims entry {chunk!r}, expected <vertex>=<n>")
         v, d = chunk.split("=", 1)
@@ -56,8 +62,8 @@ def _parse_dims(text: str) -> dict[str, int]:
 
 
 def _parse_sizes(text: str) -> list[int]:
-    sizes = [int(tok) for tok in text.split(",") if tok.strip()]
-    if not sizes or any(s < 1 for s in sizes):
+    sizes = [int(tok) for tok in _entries(text, "--sizes")]
+    if any(s < 1 for s in sizes):
         raise ValueError("--sizes needs positive integers")
     return sizes
 

@@ -955,65 +955,69 @@ def specialize(h: AlgebraHom, assignment: dict[str, ExactMatrix],
     return Representation(q, dims, maps, field=field)
 
 
-def _trial_dims(h: AlgebraHom, loops: Quiver, assignment: dict[str, ExactMatrix],
-                ell: int, standard=None, echelons: dict | None = None) -> tuple[int, int]:
-    """(dim End over the path algebra of the specialized module, dim of the
-    centralizer of the assigned matrices).  The centralizer is End of the
-    one-vertex module on the loop quiver `loops`, one loop per letter acting
-    by its matrix.
+class _Trials:
+    """The specialization trials of one hom over its own field: dims_of
+    gives (dim End over the path algebra of the specialized module, dim of
+    the centralizer of the assigned matrices, End of the one-vertex module
+    with one loop per letter), once per distinct (size, assignment).
 
-    standard, _standard_blocks(h), skips specialize when it is not None:
-    the idempotent images become e_v (x) I_ell under every assignment, so
-    each arrow acts by its substituted block alone.  An arrow whose block
-    holds no letter then acts by B (x) I_ell in every trial.  echelons, a
-    dict kept by one specialization test, holds under each size the
-    reduced echelon of those letter-free arrows' intertwiner rows, made at
-    the size's first trial; every trial builds only the letter arrows'
-    rows and ranks them modulo it.  The rank of the stacked system is the
-    echelon's rank plus that rank modulo it, so dim End is exactly the
-    number the full system gives.  Without echelons (the QQ recheck) or off
-    the standard layout, the trial's system has every arrow's rows."""
-    if standard is None:
-        rep, fixed, moving = specialize(h, assignment, size=ell), [], None
-    else:
-        dims, blocks, letter_free = standard
-        fixed = [] if echelons is None else letter_free
+    Off the standard layout every trial runs specialize.  In it the
+    idempotent images become e_v (x) I_ell under every assignment, so each
+    arrow acts by its substituted block alone, and an arrow whose block
+    holds no letter acts by B (x) I_ell in every trial of one size.  When h
+    has letters, the reduced echelon of those letter-free arrows'
+    intertwiner rows is made at each size's first trial, and every trial
+    ranks only the letter arrows' rows modulo it: the rank of the stacked
+    system is the echelon's rank plus that rank modulo it, so dim End is
+    exactly the number the full system gives.  With no letters each size
+    is one trial, which ranks its whole system."""
 
-        def module(arrows):
-            return Representation(
-                h.source_quiver, {v: ell * d for v, d in dims.items()},
-                {a: _substitute_freemat(blocks[a], assignment, ell, h.field) for a in arrows},
-                field=h.field)
+    def __init__(self, h: AlgebraHom):
+        self.h = h
+        self.loops = Quiver(["*"], [(x, "*", "*") for x in h.algebra.letters],
+                            require_acyclic=False)
+        try:
+            self.dims, self.blocks = h.standard_blocks()
+        except LayoutMismatch:
+            self.blocks = None
+        self.fixed = [a for a, b in (self.blocks or {}).items() if h.algebra.letters
+                      and all(p.is_scalar() for p in b.nonzero.values())]
+        self.echelons: dict[int, dict] = {}  # size -> the letter-free arrows' echelon
+        self.done: dict[tuple, tuple[int, int]] = {}  # (size, matrices) -> dims
 
-        moving = [a for a in blocks if a not in fixed]
-        rep = module(moving)
-    if rep.total_dim() == 0:
-        return 0, 0
-    field = rep.field
-    if fixed and ell not in echelons:
-        scalar = module(fixed)
-        rows, total, _ = _intertwiner_system(scalar, scalar, fixed)
-        echelons[ell] = field.reduced_echelon(rows, total)
-    start = echelons[ell] if fixed else {}
-    rows, total, _ = _intertwiner_system(rep, rep, moving)
-    dim_path = total - len(start) - field.rank(rows, total, start)
-    letters = Representation(loops, {"*": ell}, assignment, field=field)
-    dim_matrix = hom_dim(letters, letters)
-    if dim_path < dim_matrix:
-        raise EpibuildError("internal: matrix-algebra End exceeded path-algebra End")
-    return dim_path, dim_matrix
+    def dims_of(self, assignment: dict[str, ExactMatrix], ell: int) -> tuple[int, int]:
+        key = (ell, tuple(m.entries for m in assignment.values()))
+        if key not in self.done:
+            self.done[key] = self._dims(assignment, ell)
+        return self.done[key]
 
+    def _module(self, arrows, assignment, ell) -> Representation:
+        f = self.h.field
+        return Representation(
+            self.h.source_quiver, {v: ell * d for v, d in self.dims.items()},
+            {a: _substitute_freemat(self.blocks[a], assignment, ell, f) for a in arrows}, field=f)
 
-def _standard_blocks(h: AlgebraHom):
-    """h.standard_blocks() and the names of the arrows whose blocks hold no
-    letter, or None when h is not in the standard layout (letters or a
-    conjugated layout in its idempotent images)."""
-    try:
-        dims, blocks = h.standard_blocks()
-    except LayoutMismatch:
-        return None
-    return dims, blocks, [a for a, b in blocks.items()
-                          if all(p.is_scalar() for p in b.nonzero.values())]
+    def _dims(self, assignment, ell) -> tuple[int, int]:
+        if self.blocks is None:
+            rep, moving = specialize(self.h, assignment, size=ell), None
+        else:
+            moving = [a for a in self.blocks if a not in self.fixed]
+            rep = self._module(moving, assignment, ell)
+        if rep.total_dim() == 0:
+            return 0, 0
+        field = rep.field
+        if self.fixed and ell not in self.echelons:
+            scalar = self._module(self.fixed, assignment, ell)
+            rows, total, _ = _intertwiner_system(scalar, scalar, self.fixed)
+            self.echelons[ell] = field.reduced_echelon(rows, total)
+        start = self.echelons.get(ell, {})
+        rows, total, _ = _intertwiner_system(rep, rep, moving)
+        dim_path = total - len(start) - field.rank(rows, total, start)
+        letters = Representation(self.loops, {"*": ell}, assignment, field=field)
+        dim_matrix = hom_dim(letters, letters)
+        if dim_path < dim_matrix:
+            raise EpibuildError("internal: matrix-algebra End exceeded path-algebra End")
+        return dim_path, dim_matrix
 
 
 def _specialization_prime(h: AlgebraHom) -> int:
@@ -1072,27 +1076,21 @@ def specialization_refutation_test(h: AlgebraHom, trials: int = 20,
     the QQ dimensions, keeps the mod-p ones under "modular_artifact", and the
     test goes on.  Deterministic given the seed.
 
-    In the standard layout, the arrows whose blocks hold no letter act the
-    same way in every trial of one size, so their intertwiner rows are put
-    in reduced echelon form once per size, at its first trial, and each
-    trial ranks only the letter arrows' rows modulo it (_trial_dims).  The
-    echelons live in this call only.
+    The trials of each field go through one _Trials object, made for the
+    QQ recheck at the first inequality mod p.  In the standard layout, the
+    arrows whose blocks hold no letter act the same way in every trial of
+    one size, so their intertwiner rows are put in reduced echelon form
+    once per size, and each trial, a recheck too, ranks only the letter
+    arrows' rows modulo it.
     """
     import random
 
     field = h.field if h.field != QQ else GF(_specialization_prime(h))
     hs = convert_hom_field(h, field)
-    standard = _standard_blocks(hs)
-    loops = Quiver(["*"], [(x, "*", "*") for x in h.algebra.letters], require_acyclic=False)
+    modular, exact = _Trials(hs), None
     rng = random.Random(seed)
     sizes = list(sizes)
     log = []
-    # (size, assignment) -> (dims, modular artifact); with no letters nothing
-    # is drawn, and every trial of one size repeats the first
-    done: dict[tuple, tuple] = {}
-    # size -> the letter-free arrows' echelon (see _trial_dims); with no
-    # letters there is one trial per size, so nothing to keep
-    echelons = {} if hs.algebra.letters else None
     for t in range(trials):
         ell = sizes[t % len(sizes)]
         assignment = {
@@ -1101,23 +1099,16 @@ def specialization_refutation_test(h: AlgebraHom, trials: int = 20,
                            cols=ell)
             for x in hs.algebra.letters
         }
-        key = (ell, tuple(m.entries for m in assignment.values()))
-        if key not in done:
-            dim_path, dim_matrix = _trial_dims(hs, loops, assignment, ell, standard, echelons)
-            modular = None
-            if dim_path > dim_matrix and h.field == QQ:
-                modular = {"prime": field.p, "dim_path_algebra": dim_path,
-                           "dim_matrix_algebra": dim_matrix}
-                dim_path, dim_matrix = _trial_dims(
-                    h, loops, {x: m.convert(h.field) for x, m in assignment.items()}, ell,
-                    _standard_blocks(h))
-                if dim_path > dim_matrix:
-                    modular = None
-            done[key] = (dim_path, dim_matrix, modular)
-        dim_path, dim_matrix, modular = done[key]
+        dim_path, dim_matrix = modular.dims_of(assignment, ell)
         entry = {"trial": t, "size": ell}
-        if modular is not None:
-            entry["modular_artifact"] = modular
+        if dim_path > dim_matrix and h.field == QQ:
+            artifact = {"prime": field.p, "dim_path_algebra": dim_path,
+                        "dim_matrix_algebra": dim_matrix}
+            exact = exact or _Trials(h)
+            dim_path, dim_matrix = exact.dims_of(
+                {x: m.convert(QQ) for x, m in assignment.items()}, ell)
+            if dim_path <= dim_matrix:
+                entry["modular_artifact"] = artifact
         entry.update(dim_path_algebra=dim_path, dim_matrix_algebra=dim_matrix)
         log.append(entry)
         if dim_path > dim_matrix:

@@ -185,6 +185,14 @@ def block_layout(q: Quiver, dims: dict[str, int]) -> BlockLayout:
     return BlockLayout(order=q.vertices, offsets=offsets, sizes=dict(dims), total=acc)
 
 
+def directive_lines(text: str):
+    """(line number, raw line, its stripped text before any `#`) for every
+    line of text that is not blank once its comment is cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if line := raw.split("#", 1)[0].strip():
+            yield lineno, raw, line
+
+
 def parse_quiver(text: str) -> Quiver:
     """Parse the quiver text format.
 
@@ -193,10 +201,7 @@ def parse_quiver(text: str) -> Quiver:
     """
     vertices: list[str] | None = None
     arrows: dict[str, Arrow] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, raw, line in directive_lines(text):
         tokens = line.split()
         head = tokens[0]
         if head == "vertices":

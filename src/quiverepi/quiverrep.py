@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .exactlin import (QQ, ExactMatrix, column_space_basis, nullspace_basis, nullspace_vectors,
                        rank, rref)
-from .quiver import BlockLayout, Quiver, block_layout, check_dims, parse_quiver
+from .quiver import BlockLayout, Quiver, block_layout, check_dims, directive_lines, parse_quiver
 
 
 class RepresentationError(Exception):
@@ -354,22 +354,22 @@ def random_representation(q: Quiver, dims: dict[str, int], rng, field=QQ) -> Rep
 def parse_representation(text: str, quiver: Quiver, field=QQ) -> Representation:
     """Parse the representation text format against a known quiver.
 
-    Lines: optional `quiver <file>` header (ignored here; used by
-    load_representation), `dims <v>=<n> ...`, then `map <arrow> <row> ; <row>`
-    with rational entries, at most one per arrow.  Arrows without a map line
-    get the zero matrix.
+    Lines: an optional `quiver <file>` header, at most one (load_representation
+    reads its file), `dims <v>=<n> ...`, then `map <arrow> <row> ; <row>` with
+    rational entries, at most one per arrow.  Arrows without a map line get
+    the zero matrix.
     """
     dims: dict[str, int] | None = None
     maps: dict[str, ExactMatrix] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    header = False
+    for lineno, _, line in directive_lines(text):
         tokens = line.split()
         head = tokens[0]
         if head == "quiver":
-            continue
-        if head == "dims":
+            if header:
+                raise RepresentationError(f"line {lineno}: second 'quiver' line")
+            header = True
+        elif head == "dims":
             if dims is not None:
                 raise RepresentationError(f"line {lineno}: second 'dims' line")
             dims = {}
@@ -418,18 +418,13 @@ def load_representation(path, field=QQ) -> Representation:
     relative to the representation file's directory."""
     path = Path(path)
     text = path.read_text(encoding="utf-8")
-    quiver_path = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line.startswith("quiver"):
-            parts = line.split(None, 1)
-            if len(parts) != 2:
-                raise RepresentationError("'quiver' header needs a file name")
-            quiver_path = parts[1].strip()
-            break
-    if quiver_path is None:
+    headers = (line.split(None, 1) for _, _, line in directive_lines(text))
+    header = next((parts for parts in headers if parts[0] == "quiver"), None)
+    if header is None:
         raise RepresentationError(f"{path}: missing 'quiver <file>' header")
-    q = parse_quiver((path.parent / quiver_path).read_text(encoding="utf-8"))
+    if len(header) != 2:
+        raise RepresentationError("'quiver' header needs a file name")
+    q = parse_quiver((path.parent / header[1]).read_text(encoding="utf-8"))
     return parse_representation(text, q, field=field)
 
 

@@ -105,6 +105,23 @@ class TestCheck:
         assert code == 0
         assert (report["total_dim"], report["brick"], report["exceptional"]) == (n, True, True)
 
+    def test_second_quiver_line(self, workdir, capsys):
+        (workdir / "twice.rep").write_text(
+            "quiver a2.quiver\ndims 1=1 2=1\nquiver nothere.quiver  # another header\n")
+        code = main(["check", str(workdir / "twice.rep")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: line 3: second 'quiver' line\n"
+
+    def test_header_is_matched_on_its_first_token(self, workdir, capsys):
+        (workdir / "ish.rep").write_text("quiverish a2.quiver\ndims 1=1 2=1\n")
+        code = main(["check", str(workdir / "ish.rep")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "missing 'quiver <file>' header" in captured.err
+
     @pytest.mark.parametrize("dims", ["1=1 1=2 2=1", "1=1 2=1 1=1"])
     def test_vertex_repeated_in_dims_line(self, workdir, capsys, dims):
         (workdir / "twice.rep").write_text(f"quiver kronecker.quiver\ndims {dims}\n")
@@ -170,6 +187,14 @@ class TestBuild:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error:") and "'1'" in captured.err
+
+    @pytest.mark.parametrize("dims", ["1=1,,2=1", "1=1,2=1,", ",1=1,2=1", "1=1, ,2=1"])
+    def test_build_canonical_empty_dims_entry(self, workdir, capsys, dims):
+        code = main(["build", "canonical", str(workdir / "kronecker.quiver"), "--dims", dims])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: --dims has an empty entry")
 
     def test_build_canonical(self, workdir, capsys):
         code, report = run(capsys, [
@@ -286,6 +311,26 @@ class TestVerify:
         assert code == 0
         assert report["verdict"] == "Verified"
         assert report["config"]["field"] == "fp:5"
+
+    @pytest.mark.parametrize("sizes, message", [
+        *((s, "--sizes has an empty entry") for s in ("1,,2", "1,2,", ",1", " , ", "")),
+        ("0", "--sizes needs positive integers"),
+        ("1,x", "invalid literal"),
+    ])
+    def test_bad_sizes_are_input_errors(self, workdir, capsys, sizes, message):
+        hom = self.build_hom(workdir, capsys, "brick", workdir / "brick.rep")
+        code = main(["verify", str(hom), "--sizes", sizes])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and message in captured.err
+
+    def test_spaced_sizes_are_the_plain_list(self, workdir, capsys):
+        hom = self.build_hom(workdir, capsys, "brick", workdir / "brick.rep")
+        reports = [run(capsys, ["verify", hom, "--degree", "1", "--sizes", sizes])
+                   for sizes in ("1,2", " 1 , 2 ")]
+        assert reports[0] == reports[1] and reports[0][0] == 0
+        assert reports[0][1]["config"]["sizes"] == [1, 2]
 
     def test_reports_byte_identical(self, workdir, capsys):
         hom = self.build_hom(workdir, capsys, "brick", workdir / "brick.rep")

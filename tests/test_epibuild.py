@@ -11,11 +11,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quiverepi import cli, epibuild, freealg
-from quiverepi.exactlin import GF, QQ, ExactMatrix
+from quiverepi.exactlin import GF, QQ, ExactMatrix, PrimeField
 from quiverepi.epibuild import (
-    _standard_blocks,
     _substitute_freemat,
-    _trial_dims,
+    _Trials,
     AlgebraHom,
     CertificateMismatch,
     DimensionTooSmall,
@@ -886,11 +885,12 @@ class TestRefutation:
     def test_letterless_trials_computed_once_per_size(self, a2_brick, monkeypatch):
         calls = []
 
-        def counted(h, loops, assignment, ell, *rest):
+        def counted(trials, assignment, ell):
             calls.append(ell)
-            return _trial_dims(h, loops, assignment, ell, *rest)
+            return dims(trials, assignment, ell)
 
-        monkeypatch.setattr(epibuild, "_trial_dims", counted)
+        dims = _Trials._dims
+        monkeypatch.setattr(_Trials, "_dims", counted)
         out = specialization_refutation_test(build_brick_hom(a2_brick), trials=20,
                                              sizes=(1, 2), seed=0)
         assert out.passed
@@ -937,6 +937,33 @@ class TestRefutation:
         assert out.trials == expected
         assert calls == [1 + trial % 2 for trial in range(20)]
 
+    def test_glued_kronecker34_trial_work(self, kronecker, monkeypatch):
+        # a work count, not a timing: the rows that one default test on the
+        # glued (3,4) draw hands to GF(p) elimination, 350 ranked over 40
+        # calls and 120 put in echelon form, once per size.  Ranking every
+        # trial's whole system would take 1,550 rows, and an echelon remade
+        # on every trial 1,200
+        rng = random.Random(3)
+        while not is_brick(m := random_representation(kronecker, {"1": 3, "2": 4}, rng)):
+            pass
+        h = glue_vertex(m, "2")
+        ranked, echeloned = [], []
+
+        def counting(method, counts):
+            def counted(self, rows, cols, *rest):
+                rows = list(rows)
+                counts.append(len(rows))
+                return method(self, rows, cols, *rest)
+            return counted
+
+        monkeypatch.setattr(PrimeField, "rank", counting(PrimeField.rank, ranked))
+        monkeypatch.setattr(PrimeField, "reduced_echelon",
+                            counting(PrimeField.reduced_echelon, echeloned))
+        out = specialization_refutation_test(h)
+        assert out.passed and len(out.trials) == 20
+        assert sum(ranked) <= 500
+        assert sum(echeloned) <= 200
+
     def test_deterministic(self, a2_brick):
         h = build_brick_hom(a2_brick)
         o1 = specialization_refutation_test(h, trials=5, sizes=(1, 2), seed=3)
@@ -946,10 +973,8 @@ class TestRefutation:
 
     def test_loop_quiver_centralizer(self, a2_brick, kron_extension_hom, kronecker):
         def centralizer_dim(h, assignment, ell):
-            loops = Quiver(["*"], [(x, "*", "*") for x in h.algebra.letters],
-                           require_acyclic=False)
             mats = {x: ExactMatrix(QQ, m) for x, m in assignment.items()}
-            return _trial_dims(h, loops, mats, ell)[1]
+            return _Trials(h).dims_of(mats, ell)[1]
 
         assert centralizer_dim(build_brick_hom(a2_brick), {}, 3) == 9
         generic = [[1, 2], [3, 4]]
@@ -1224,20 +1249,19 @@ def reference_trial_dims(h, loops, assignment, ell):
 
 
 def assert_trials_match_reference(h, sizes, seed) -> dict:
-    """Run one trial per size in sizes, all sharing one echelons dict as the
+    """Run one trial per size in sizes through one _Trials object, as the
     trials of one specialization test do, against reference_trial_dims;
-    returns the echelons dict."""
+    returns the object's echelons dict."""
     rng = random.Random(seed)
     loops = Quiver(["*"], [(x, "*", "*") for x in h.algebra.letters], require_acyclic=False)
-    standard = _standard_blocks(h)
-    echelons = {}
+    trials = _Trials(h)
     for ell in sizes:
         assignment = {x: ExactMatrix(h.field, [[rng.randrange(-2, 3) for _ in range(ell)]
                                                for _ in range(ell)])
                       for x in h.algebra.letters}
-        assert _trial_dims(h, loops, assignment, ell, standard, echelons) == \
+        assert trials.dims_of(assignment, ell) == \
             reference_trial_dims(h, loops, assignment, ell)
-    return echelons
+    return trials.echelons
 
 
 def kronecker_with_one_letter():
@@ -1250,7 +1274,7 @@ def kronecker_with_one_letter():
 
 
 class TestTrialDims:
-    """_trial_dims, which ranks the letter arrows' rows modulo the per-size
+    """_Trials, which ranks the letter arrows' rows modulo the per-size
     echelon of the letter-free arrows' rows, gives the dimensions of the
     full system of every trial, over QQ and GF(101)."""
 

@@ -41,6 +41,13 @@ leads `v2_2.x` and `v2_2.x.y` are not overlap-free, so its elements are
 searched in the span to the default bound of 7 before the specialization
 test refutes it (exit 1).
 
+Two Verified homs pin the recheck over QQ of trials whose mod-p
+dimensions differ, the entry 101 vanishing in GF(101).  The brick of the
+Kronecker module of dimension (1,2) with `a = 1 ; 0` and `b = 0 ; 101` has
+no letters, and all 20 of its trials are such modular artifacts.  The
+extension of A2's P12 with `a = 101` into the Kronecker quiver has the
+letter `x[b]_1_1`, and its 10 trials of size 2 are rechecked with it.
+
 One glued hom is drawn rather than written out: the first Kronecker brick of
 dimension (3,4) that `random_representation` gives from `random.Random(3)`,
 glued at vertex 2 into M_8(k<x1,x2,x3>).  Its size-2 specialization trials
@@ -80,13 +87,16 @@ REPS = {
     "kr_reg.rep": "quiver kronecker.quiver\ndims 1=1 2=1\nmap a 1\n",
     "p12_s2.rep": "quiver a2.quiver\ndims 1=1 2=2\nmap a 1 ; 0\n",
     "k23.rep": "quiver kronecker.quiver\ndims 1=2 2=3\nmap a 1 0 ; 0 1 ; 0 0\nmap b 0 0 ; 1 0 ; 0 1\n",
+    "kr12_101.rep": "quiver kronecker.quiver\ndims 1=1 2=2\nmap a 1 ; 0\nmap b 0 ; 101\n",
+    "a2_p12_101.rep": "quiver a2.quiver\ndims 1=1 2=1\nmap a 101\n",
 }
 
 # case name -> `build` arguments before --out
 BUILDS = {
     **{rep[:-4]: ["brick", rep] for rep in REPS
-       if rep not in ("kr_reg.rep", "p12_s2.rep", "k23.rep")},
+       if rep not in ("kr_reg.rep", "p12_s2.rep", "k23.rep", "a2_p12_101.rep")},
     "extend": ["extend", "a2_p12.rep", "kronecker.quiver"],
+    "extend_101": ["extend", "a2_p12_101.rep", "kronecker.quiver"],
     **{f"invariant_{case}": ["invariant", "kr_reg.rep", "b", case]
        for case in ("i", "ii", "iii", "iv")},
     "p12_s2": ["brick", "p12_s2.rep", "--allow-non-brick"],
@@ -152,6 +162,11 @@ DIGESTS = {
         "e5fab2482f640adbeb902e071c7b2a1810af05bb4f3c42348fcf90aca807f6eb",
         "46e81ce091152fa28fb6c04082a41fb03d20be6c6ee847279ab90d2e51a3f0ea",
     ),
+    "extend_101": (
+        "da7ca97f66b733e31627cfbc0f01c3b244ad3610d2d0c6fb07d9c9833b86b54f",
+        "b4a55dec9c1034c77bbfb9184b96946fb991c98f9dfd8646b2fad6056e5cf726",
+        "f81e3d44e6119311a93d33c51c5a00631d794d0774b2c97c6d7ba4a92f917ae8",
+    ),
     "extend": (
         "e82874be83af067d56aa19e418b91d2dadcfd01233400a9bef7737e063bc1684",
         "7f7b58f0f5cec0f6622f13e40e1cfc4c4051d40a0e21434b4f3c4351ff88dc57",
@@ -201,6 +216,11 @@ DIGESTS = {
         "bf24ead902ef1830fef303f724765d3ae70e0285a73524acf59bf6049af73268",
         "1dcdc86a30659254f2a764d486fd282220b85a3a82640e289f16af472b4a3593",
         "13eee48aabe497cada2d8b07cd4f00e6c2f2697cb213834dc1674b3282686da0",
+    ),
+    "kr12_101": (
+        "32bfbaadb1cd9bfa75ddec6bb95555aded450618b169b518bae16c887aa335f8",
+        "942d86d1315409e38a20474c202aa6c89f085322f6e1f22a422bd025a4ac2e4f",
+        "65ea7523e1a9cde3ee1e77d52f4f8b750af86ccd5538af4dbd423e51823ccd67",
     ),
     "glue6": (
         "19715f2e24115efc4dcf5fb97cb0a5213855ef99224e811ddf0db94463bc37cc",
