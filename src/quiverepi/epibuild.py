@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import warnings
 from functools import reduce
+from itertools import product
 
 from .exactlin import (
     GF,
@@ -33,6 +34,7 @@ from .exactlin import (
     idempotent_diagonalize,
     is_prime,
     nullspace_basis,
+    nullspace_vectors,
     parse_field,
     rank,
     solve_or_invert,
@@ -58,7 +60,6 @@ from .quiverrep import (
     euler_form,
     find_end_invariance_violation,
     hom_basis,  # noqa: F401 - unused here; perfbench/test_checks.py traces this binding
-    hom_dim,
     is_brick,
     is_exceptional,
     kernel_image,
@@ -958,66 +959,89 @@ def specialize(h: AlgebraHom, assignment: dict[str, ExactMatrix],
 class _Trials:
     """The specialization trials of one hom over its own field: dims_of
     gives (dim End over the path algebra of the specialized module, dim of
-    the centralizer of the assigned matrices, End of the one-vertex module
-    with one loop per letter), once per distinct (size, assignment).
-
-    Off the standard layout every trial runs specialize.  In it the
-    idempotent images become e_v (x) I_ell under every assignment, so each
-    arrow acts by its substituted block alone, and an arrow whose block
-    holds no letter acts by B (x) I_ell in every trial of one size.  When h
-    has letters, the reduced echelon of those letter-free arrows'
-    intertwiner rows is made at each size's first trial, and every trial
-    ranks only the letter arrows' rows modulo it: the rank of the stacked
-    system is the echelon's rank plus that rank modulo it, so dim End is
-    exactly the number the full system gives.  With no letters each size
-    is one trial, which ranks its whole system."""
+    the centralizer of the assigned matrices) once per distinct (size,
+    assignment).  Off the standard layout each trial runs specialize.  In
+    it, with E_1..E_d a basis of End(M0), M0 the size-1 module of the
+    arrows whose blocks hold no letter, a trial's endomorphisms lie in
+    End(M0 (x) k^ell) = End(M0) (x) M_ell(k), as sum_k E_k (x) C_k, and
+    each letter arrow adds an ell x ell equation in the C_k per row of the
+    reduced echelon of its scalar matrices E_k,t Phi_w and -Phi_w E_k,s,
+    made once (see the README's specialization test)."""
 
     def __init__(self, h: AlgebraHom):
-        self.h = h
-        self.loops = Quiver(["*"], [(x, "*", "*") for x in h.algebra.letters],
-                            require_acyclic=False)
+        f, one = h.field, h.field.one()
+        self.h, self.done = h, {}  # done: (size, matrices) -> dims
+        self.letters = [[(0, (x,), False, one), (0, (x,), True, f.neg(one))]
+                        for x in h.algebra.letters]
         try:
-            self.dims, self.blocks = h.standard_blocks()
+            dims, blocks = h.standard_blocks()
         except LayoutMismatch:
-            self.blocks = None
-        self.fixed = [a for a, b in (self.blocks or {}).items() if h.algebra.letters
-                      and all(p.is_scalar() for p in b.nonzero.values())]
-        self.echelons: dict[int, dict] = {}  # size -> the letter-free arrows' echelon
-        self.done: dict[tuple, tuple[int, int]] = {}  # (size, matrices) -> dims
+            self.equations = None
+            return
+        fixed = {a: [[p.constant_term() for p in row] for row in b.entries]
+                 for a, b in blocks.items() if all(p.is_scalar() for p in b.nonzero.values())}
+        m0 = Representation(h.source_quiver, dims, fixed, field=f)
+        rows, total, offsets = _intertwiner_system(m0, m0, fixed)
+        self.equations = []  # [(k, w, right, c), ...]: sum c (X_w C_k if right else C_k X_w) = 0
+        if len(fixed) == len(blocks):  # no letter in any block: d alone is needed
+            self.d = total - f.rank(rows, total)
+            return
+        basis = [{v: [vec[o + p * dims[v]:o + (p + 1) * dims[v]] for p in range(dims[v])]
+                  for v, o in offsets.items()} for vec in nullspace_vectors(f, rows, total)]
+        self.d = len(basis)
+        for a in (a for a in h.source_quiver.arrows if a.name not in fixed):
+            symbols, entries = {}, {}  # (k, w, right) -> column; (i, j) -> {column: value}
+
+            def put(i, j, symbol, x):
+                if x:
+                    row, col = entries.setdefault((i, j), {}), symbols.setdefault(symbol, len(symbols))
+                    row[col] = f.add(row[col], x) if col in row else x
+
+            for ((r, s), poly), (k, e) in product(blocks[a.name].nonzero.items(), enumerate(basis)):
+                for w, c in poly.terms.items():  # c at (r, s) of Phi_w
+                    for i, e_i in enumerate(e[a.target]):
+                        put(i, s, (k, w, False), f.mul(e_i[r], c))  # in E_k,t Phi_w
+                    for j, y in enumerate(e[a.source][s]):
+                        put(r, j, (k, w, bool(w)), f.neg(f.mul(c, y)))  # in -Phi_w E_k,s
+            columns = list(symbols)
+            self.equations += [[columns[col] + (x,) for col, x in {p: one, **tail}.items()]
+                               for p, tail in f.reduced_echelon(entries.values(), len(columns)).items()]
 
     def dims_of(self, assignment: dict[str, ExactMatrix], ell: int) -> tuple[int, int]:
         key = (ell, tuple(m.entries for m in assignment.values()))
-        if key not in self.done:
-            self.done[key] = self._dims(assignment, ell)
-        return self.done[key]
-
-    def _module(self, arrows, assignment, ell) -> Representation:
-        f = self.h.field
-        return Representation(
-            self.h.source_quiver, {v: ell * d for v, d in self.dims.items()},
-            {a: _substitute_freemat(self.blocks[a], assignment, ell, f) for a in arrows}, field=f)
-
-    def _dims(self, assignment, ell) -> tuple[int, int]:
-        if self.blocks is None:
-            rep, moving = specialize(self.h, assignment, size=ell), None
-        else:
-            moving = [a for a in self.blocks if a not in self.fixed]
-            rep = self._module(moving, assignment, ell)
-        if rep.total_dim() == 0:
-            return 0, 0
-        field = rep.field
-        if self.fixed and ell not in self.echelons:
-            scalar = self._module(self.fixed, assignment, ell)
-            rows, total, _ = _intertwiner_system(scalar, scalar, self.fixed)
-            self.echelons[ell] = field.reduced_echelon(rows, total)
-        start = self.echelons.get(ell, {})
-        rows, total, _ = _intertwiner_system(rep, rep, moving)
-        dim_path = total - len(start) - field.rank(rows, total, start)
-        letters = Representation(self.loops, {"*": ell}, assignment, field=field)
-        dim_matrix = hom_dim(letters, letters)
+        if key in self.done or ell * self.h.size == 0:
+            return self.done.get(key, (0, 0))
+        dim_path = (end_dim(specialize(self.h, assignment, size=ell)) if self.equations is None
+                    else self._kernel(self.equations, self.d, assignment, ell))
+        dim_matrix = self._kernel(self.letters, 1, assignment, ell)
         if dim_path < dim_matrix:
             raise EpibuildError("internal: matrix-algebra End exceeded path-algebra End")
+        self.done[key] = dim_path, dim_matrix
         return dim_path, dim_matrix
+
+    def _kernel(self, equations, d, assignment, ell) -> int:
+        """dim of the (C_1..C_d) in M_ell(k)^d solving the equations: unknown
+        k ell^2 + p ell + q is C_k[p, q], and entry (p, q) of an equation is
+        its row p ell + q."""
+        f, n, span = self.h.field, ell * ell, range(ell)
+        rows = []
+        for eq in equations:
+            block = [{} for _ in range(n)]
+            for k, w, right, c in eq:
+                x = w and reduce(ExactMatrix.__mul__, [assignment[y] for y in w]).entries
+                if not w:  # C_k
+                    cells = [(i, k * n + i, c) for i in range(n)]
+                elif right:  # (X_w C_k)[p, q] holds X_w[p, m] C_k[m, q]
+                    cells = [(p * ell + q, k * n + m * ell + q, y) for p, m in product(span, span)
+                             if (y := f.mul(c, x[p][m])) for q in span]
+                else:  # (C_k X_w)[p, q] holds C_k[p, m] X_w[m, q]
+                    cells = [(p * ell + q, k * n + p * ell + m, y) for m, q in product(span, span)
+                             if (y := f.mul(c, x[m][q])) for p in span]
+                for i, j, y in cells:
+                    row = block[i]
+                    row[j] = f.add(row[j], y) if j in row else y
+            rows += block
+        return d * n - f.rank(rows, d * n)
 
 
 def _specialization_prime(h: AlgebraHom) -> int:
@@ -1077,11 +1101,7 @@ def specialization_refutation_test(h: AlgebraHom, trials: int = 20,
     test goes on.  Deterministic given the seed.
 
     The trials of each field go through one _Trials object, made for the
-    QQ recheck at the first inequality mod p.  In the standard layout, the
-    arrows whose blocks hold no letter act the same way in every trial of
-    one size, so their intertwiner rows are put in reduced echelon form
-    once per size, and each trial, a recheck too, ranks only the letter
-    arrows' rows modulo it.
+    QQ recheck at the first inequality mod p, whose set-up serves every size.
     """
     import random
 

@@ -7,22 +7,24 @@ arithmetic, each operation returning that form, so the same matrix code
 runs over either field.  Besides scalar operations, each Field supplies
 dot(xs, ys), the row kernel of ExactMatrix products.
 
-Each Field has one elimination loop behind two entry points, both on
+Each Field has one elimination loop behind three entry points, all on
 sparse rows {column: nonzero entry}: rank(rows, cols, start), the rank
 modulo the row space of a reduced echelon start (so the echelon of rows
-that many systems share is computed once), and reduced_echelon(rows,
-cols), the RREF as {pivot column: rest of its row}.  quiverrep's
-intertwiner rows come that way, and rref(m) and rank(m) hand over a
-matrix's nonzero entries the same way; rref alone makes dense rows.  GF(p)
-runs an incremental sparse echelon, reducing each row by the pivot rows
-kept so far until it vanishes or leads a new column, and back-substitutes
-it for the RREF.  QQ scales each row to Python integers and runs a
-fraction-free elimination (Bareiss's exact division by the previous
-pivot): forward only for the rank, forming no Fraction, and Gauss-Jordan
-for the RREF, forming a Fraction only for a non-integral entry.  The RREF
-is unique, so both fields give what any exact elimination gives.  The
-pivot rule is fixed (first nonzero entry scanning rows top to bottom,
-columns left to right), so every result is deterministic.
+that many systems share is computed once), pivots(rows, cols), the pivot
+columns that every echelon form shares, from the rank's forward pass, and
+reduced_echelon(rows, cols), the RREF as {pivot column: rest of its row}.
+quiverrep's intertwiner rows come that way, and rref(m) and rank(m) hand
+over a matrix's nonzero entries the same way; rref alone makes dense
+rows.  GF(p) runs an incremental sparse echelon, reducing each row by the
+pivot rows kept so far until it vanishes or leads a new column, and
+back-substitutes it for the RREF.  QQ scales each row to Python integers
+and runs a fraction-free elimination (Bareiss's exact division by the
+previous pivot): forward only for the rank and the pivots, forming no
+Fraction, and Gauss-Jordan for the RREF, forming a Fraction only for a
+non-integral entry.  The RREF is unique, so both fields give what any
+exact elimination gives.  The pivot rule is fixed (first nonzero entry
+scanning rows top to bottom, columns left to right), so every result is
+deterministic.
 
 The public ExactMatrix constructor coerces every entry and rejects ragged
 rows.  Operations whose entries already lie in the field build their result
@@ -181,7 +183,12 @@ class RationalField:
         rank of its rows and rows together, less len(start)."""
         if start:
             rows = [{c: 1, **tail} for c, tail in start.items()] + list(rows)
-        return len(self._echelon(_integer_rows(rows, cols), cols, False)[2]) - len(start or ())
+        return len(self.pivots(rows, cols)) - len(start or ())
+
+    def pivots(self, rows: Iterable[dict], cols: int) -> list[int]:
+        """The pivot columns of sparse rows, ascending, from the forward-only
+        pass: those of any echelon form of the rows, the RREF's included."""
+        return self._echelon(_integer_rows(rows, cols), cols, False)[2]
 
     def to_str(self, a):
         return str(a)
@@ -329,6 +336,11 @@ class PrimeField:
         columns of their sparse echelon.  With start, a reduced_echelon, the
         rank modulo its row space: the leading columns the rows add to it."""
         return len(self._echelon(rows, cols, start)) - len(start or ())
+
+    def pivots(self, rows: Iterable[dict], cols: int) -> list[int]:
+        """The leading columns of the sparse echelon of rows, ascending: those
+        of any echelon form of the rows, the RREF's included."""
+        return sorted(self._echelon(rows, cols))
 
     def to_str(self, a):
         return str(a % self.p)

@@ -4,7 +4,7 @@ import json
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quiverepi import cli
@@ -196,6 +196,14 @@ class TestBuild:
         assert captured.out == ""
         assert captured.err.startswith("error: --dims has an empty entry")
 
+    @pytest.mark.parametrize("dims, entry", [("1=x,2=1", "1=x"), ("1=1,2=1.5", "2=1.5")])
+    def test_build_canonical_non_integer_dims_entry(self, workdir, capsys, dims, entry):
+        code = main(["build", "canonical", str(workdir / "kronecker.quiver"), "--dims", dims])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: --dims has a non-integer entry {entry!r} in {dims!r}\n"
+
     def test_build_canonical(self, workdir, capsys):
         code, report = run(capsys, [
             "build", "canonical", workdir / "kronecker.quiver", "--dims", "1=1,2=1",
@@ -315,7 +323,7 @@ class TestVerify:
     @pytest.mark.parametrize("sizes, message", [
         *((s, "--sizes has an empty entry") for s in ("1,,2", "1,2,", ",1", " , ", "")),
         ("0", "--sizes needs positive integers"),
-        ("1,x", "invalid literal"),
+        ("1,x", "--sizes has a non-integer entry 'x' in '1,x'"),
     ])
     def test_bad_sizes_are_input_errors(self, workdir, capsys, sizes, message):
         hom = self.build_hom(workdir, capsys, "brick", workdir / "brick.rep")
@@ -377,6 +385,40 @@ class TestVerify:
         assert code == 2
         assert captured.err.startswith("error:")
         assert captured.out == ""
+
+
+REPORT_SCALARS = (st.none() | st.booleans() | st.integers()
+                  | st.integers(min_value=-10**60, max_value=10**60) | st.text())
+REPORT_VALUES = st.recursive(
+    REPORT_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=30)
+
+
+def nested(depth: int):
+    value = {"": []}
+    for i in range(depth):
+        value = [value, {}] if i % 2 else {"k\u00e9": value, "a": [[]]}
+    return value
+
+
+class TestReportWriter:
+    """cli._dumps, which writes every report, is json.dumps with indent=2
+    and sorted keys, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(REPORT_VALUES)
+    @example("\u00e9\u2028\U0001f600\"\\\n\t\x00\x7f/")
+    @example({"": {}, "b": [], "a": [{}, [], ""], "\u00e9": None, "A": True, "z": False})
+    @example([10**100, -(2**200), 0, -1, True, False])
+    @example(nested(60))
+    def test_matches_json_dumps(self, value):
+        assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_rejects_a_value_no_report_holds(self):
+        with pytest.raises(TypeError, match="float"):
+            cli._dumps({"x": [1.5]})
 
 
 class TestParserReuse:

@@ -882,20 +882,15 @@ class TestRefutation:
         out = specialization_refutation_test(kron_extension_hom, trials=10, sizes=(1, 2), seed=5)
         assert out.passed
 
-    def test_letterless_trials_computed_once_per_size(self, a2_brick, monkeypatch):
-        calls = []
-
-        def counted(trials, assignment, ell):
-            calls.append(ell)
-            return dims(trials, assignment, ell)
-
-        dims = _Trials._dims
-        monkeypatch.setattr(_Trials, "_dims", counted)
+    def test_letterless_trials_computed_once_per_size(self, a2_brick):
+        # with no letters every trial of one size is the same trial: End of
+        # the brick's ell copies is M_ell(k), and so is the centralizer of
+        # no matrices
         out = specialization_refutation_test(build_brick_hom(a2_brick), trials=20,
                                              sizes=(1, 2), seed=0)
         assert out.passed
-        assert calls == [1, 2]
-        assert [(t["trial"], t["size"]) for t in out.trials] == [(t, 1 + t % 2) for t in range(20)]
+        assert out.trials == [{"trial": t, "size": 1 + t % 2, "dim_path_algebra": (1 + t % 2) ** 2,
+                               "dim_matrix_algebra": (1 + t % 2) ** 2} for t in range(20)]
 
     def test_letter_in_an_idempotent_image_specializes_per_trial(self, kron_extension_hom,
                                                                  monkeypatch):
@@ -940,9 +935,9 @@ class TestRefutation:
     def test_glued_kronecker34_trial_work(self, kronecker, monkeypatch):
         # a work count, not a timing: the rows that one default test on the
         # glued (3,4) draw hands to GF(p) elimination, 350 ranked over 40
-        # calls and 120 put in echelon form, once per size.  Ranking every
-        # trial's whole system would take 1,550 rows, and an echelon remade
-        # on every trial 1,200
+        # calls and 28 put in echelon form once (End(M0)'s 24 and the glued
+        # arrow's 4).  Ranking every trial's whole system would take 1,550
+        # rows, and an echelon remade on every trial 1,200
         rng = random.Random(3)
         while not is_brick(m := random_representation(kronecker, {"1": 3, "2": 4}, rng)):
             pass
@@ -1248,20 +1243,20 @@ def reference_trial_dims(h, loops, assignment, ell):
     return hom_dim(rep, rep), hom_dim(letters, letters)
 
 
-def assert_trials_match_reference(h, sizes, seed) -> dict:
+def assert_trials_match_reference(h, sizes, seed) -> list[tuple[int, int]]:
     """Run one trial per size in sizes through one _Trials object, as the
     trials of one specialization test do, against reference_trial_dims;
-    returns the object's echelons dict."""
+    returns the trials' dimensions."""
     rng = random.Random(seed)
     loops = Quiver(["*"], [(x, "*", "*") for x in h.algebra.letters], require_acyclic=False)
-    trials = _Trials(h)
+    trials, got = _Trials(h), []
     for ell in sizes:
         assignment = {x: ExactMatrix(h.field, [[rng.randrange(-2, 3) for _ in range(ell)]
                                                for _ in range(ell)])
                       for x in h.algebra.letters}
-        assert trials.dims_of(assignment, ell) == \
-            reference_trial_dims(h, loops, assignment, ell)
-    return trials.echelons
+        got.append(trials.dims_of(assignment, ell))
+        assert got[-1] == reference_trial_dims(h, loops, assignment, ell)
+    return got
 
 
 def kronecker_with_one_letter():
@@ -1273,14 +1268,38 @@ def kronecker_with_one_letter():
                               {"x[a]_1_1": 1, "x[b]_1_1": alg.letter("y")}, alg)
 
 
+def named_trial_homs() -> dict[str, AlgebraHom]:
+    """Homs over QQ that take the edge paths of _Trials."""
+    a2 = parse_quiver("vertices 1 2\narrow a 1 2\n")
+    a3 = parse_quiver("vertices 1 2 3\narrow a 1 2\narrow b 2 3\n")
+    kronecker = parse_quiver("vertices 1 2\narrow a 1 2\narrow b 1 2\n")
+    xy = FreeAlgebra(QQ, ["x", "y"])
+    kr11 = canonical_generic_hom(kronecker, {"1": 1, "2": 1})
+    return {
+        # no letters: the Kronecker (1,2) brick, d = 1
+        "letterless": build_brick_hom(Representation(kronecker, {"1": 1, "2": 2},
+                                                     {"a": [[1], [0]], "b": [[0], [1]]})),
+        # every arrow carries letters, so End(M0) has the unit basis
+        "no letter-free arrow": canonical_generic_hom(kronecker, {"1": 1, "2": 2}),
+        # the overlap hom: b's block is the word x.y
+        "word of length 2": substitute_letters(
+            kr11, {"x[a]_1_1": xy.letter("x"), "x[b]_1_1": xy.poly({("x", "y"): 1})}, xy),
+        # vertex 3 has dimension 0, so b's block is empty and letter-free
+        "zero-dimensional vertex": canonical_generic_hom(a3, {"1": 1, "2": 2, "3": 0}),
+        # the zero module at every size, with a letter in no image
+        "size 0": substitute_letters(canonical_generic_hom(a2, {"1": 0, "2": 0}), {},
+                                     FreeAlgebra(QQ, ["x"])),
+    }
+
+
 class TestTrialDims:
-    """_Trials, which ranks the letter arrows' rows modulo the per-size
-    echelon of the letter-free arrows' rows, gives the dimensions of the
-    full system of every trial, over QQ and GF(101)."""
+    """_Trials, which ranks one system in the entries of the C_k of
+    End(M0) (x) M_ell(k) per trial, gives the dimensions of the full system
+    of every trial, over QQ and GF(101)."""
 
     @settings(max_examples=100, deadline=None)
     @given(image_families(), st.sampled_from([None, "x", "y"]), FAMILY_COEFFS,
-           st.lists(st.integers(1, 3), min_size=1, max_size=4), st.integers(0, 2**16))
+           st.lists(st.integers(1, 4), min_size=1, max_size=4), st.integers(0, 2**16))
     @example(h=kronecker_with_one_letter(), letter=None, value=1, sizes=[1, 2], seed=0)
     def test_matches_full_system(self, h, letter, value, sizes, seed):
         # one letter sent to a scalar leaves letter-free the blocks that
@@ -1303,15 +1322,67 @@ class TestTrialDims:
             "extension": ext,
             # the letter y is in no image, so both arrows are letter-free
             "unused letter": substitute_letters(ext, {name: 2}, FreeAlgebra(field, ["y"])),
-            # off the standard layout: specialize, with no echelon kept
+            # off the standard layout: specialize
             "conjugated": AlgebraHom(ext.source_quiver, alg, 2,
                                      {v: t * m * t_inv for v, m in ext.idem_images.items()},
                                      {a: t * m * t_inv for a, m in ext.arrow_images.items()}),
         }
-        kept = {label: sorted(assert_trials_match_reference(h, [1, 2, 3, 2, 1, 3], seed))
-                for seed, (label, h) in enumerate(cases.items())}
-        assert kept == {"canonical": [], "extension": [1, 2, 3],
-                        "unused letter": [1, 2, 3], "conjugated": []}
+        got = {label: assert_trials_match_reference(h, [1, 2, 3, 2, 1, 3], seed)
+               for seed, (label, h) in enumerate(cases.items())}
+        # the extension hom is an epimorphism, conjugated or not, so both
+        # dimensions are those of a generic matrix's centralizer; the
+        # unused letter leaves the brick's End at ell^2; the canonical hom's
+        # last draw is one dimension larger mod 101 than over QQ
+        generic = [(1, 1), (2, 2), (3, 3), (2, 2), (1, 1), (3, 3)]
+        assert got == {
+            "canonical": [(1, 1), (4, 1), (9, 1), (4, 1), (1, 1), (9 if field == QQ else 10, 1)],
+            "extension": generic,
+            "unused letter": [(1, 1), (4, 2), (9, 3), (4, 2), (1, 1), (9, 3)],
+            "conjugated": generic,
+        }
+
+
+    @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["q", "fp101"])
+    @pytest.mark.parametrize("label", list(named_trial_homs()))
+    def test_named_homs(self, field, label):
+        h = convert_hom_field(named_trial_homs()[label], field)
+        got = assert_trials_match_reference(h, [1, 2, 3, 4], 7)
+        if label == "letterless":
+            assert got == [(1, 1), (4, 4), (9, 9), (16, 16)]
+        if label == "size 0":
+            assert got == [(0, 0)] * 4
+
+    def test_collapsed_glued_kronecker56_work(self, kronecker, monkeypatch):
+        # a work bound, not a timing: on the collapsed glued (5,6) hom, which
+        # is Refuted at its size-2 trial after a QQ recheck, every rank and
+        # echelon has at most d * ell^2 = 8 columns (d = dim End(M0) = 2),
+        # but the one echelon per field of End(M0)'s size-1 system, whose 62
+        # unknowns do not grow with ell.  The per-size echelons took 248
+        rng = random.Random(3)
+        while not is_brick(m := random_representation(kronecker, {"1": 5, "2": 6}, rng)):
+            pass
+        h = glue_vertex(m, "2")
+        alg = h.algebra
+        h = substitute_letters(h, {x: alg.letter("x1") for x in alg.letters}, alg)
+        calls = []
+
+        def counting(cls, name):
+            method = getattr(cls, name)
+
+            def counted(self, rows, cols, *rest):
+                calls.append((cls.__name__, name, cols))
+                return method(self, rows, cols, *rest)
+            monkeypatch.setattr(cls, name, counted)
+
+        for cls in (PrimeField, type(QQ)):
+            counting(cls, "rank")
+            counting(cls, "reduced_echelon")
+        out = specialization_refutation_test(h)
+        assert not out.passed and out.witness["size"] == 2
+        assert "modular_artifact" not in out.witness
+        assert sorted(c for c in calls if c[2] > 8) == [
+            ("PrimeField", "reduced_echelon", 62), ("RationalField", "reduced_echelon", 62)]
+        assert len(calls) >= 8
 
 
 def test_epibuild_imports_no_private_freealg_name():
