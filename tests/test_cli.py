@@ -323,7 +323,8 @@ class TestVerify:
     @pytest.mark.parametrize("sizes, message", [
         *((s, "--sizes has an empty entry") for s in ("1,,2", "1,2,", ",1", " , ", "")),
         ("0", "--sizes needs positive integers"),
-        ("1,x", "--sizes has a non-integer entry 'x' in '1,x'"),
+        pytest.param("1,x", "--sizes has a non-integer entry 'x' in '1,x'",
+                     id="1,x-invalid literal"),
     ])
     def test_bad_sizes_are_input_errors(self, workdir, capsys, sizes, message):
         hom = self.build_hom(workdir, capsys, "brick", workdir / "brick.rep")
