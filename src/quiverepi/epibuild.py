@@ -971,23 +971,29 @@ class _Trials:
     def __init__(self, h: AlgebraHom):
         f, one = h.field, h.field.one()
         self.h, self.done = h, {}  # done: (size, matrices) -> dims
-        self.letters = [[(0, (x,), False, one), (0, (x,), True, f.neg(one))]
-                        for x in h.algebra.letters]
+        self.letters = [[(0, (x,), False, one), (0, (x,), True, f.neg(one))] for x in h.algebra.letters]
         try:
             dims, blocks = h.standard_blocks()
         except LayoutMismatch:
             self.equations = None
             return
-        fixed = {a: [[p.constant_term() for p in row] for row in b.entries]
-                 for a, b in blocks.items() if all(p.is_scalar() for p in b.nonzero.values())}
-        m0 = Representation(h.source_quiver, dims, fixed, field=f)
-        rows, total, offsets = _intertwiner_system(m0, m0, fixed)
+        fixed = {a: [[b.nonzero[i, j].terms[()] if (i, j) in b.nonzero else f.zero()
+                      for j in range(b.cols)] for i in range(b.rows)]
+                 for a, b in blocks.items() if all(p.terms.keys() == {()} for p in b.nonzero.values())}
         self.equations = []  # [(k, w, right, c), ...]: sum c (X_w C_k if right else C_k X_w) = 0
-        if len(fixed) == len(blocks):  # no letter in any block: d alone is needed
-            self.d = total - f.rank(rows, total)
-            return
-        basis = [{v: [vec[o + p * dims[v]:o + (p + 1) * dims[v]] for p in range(dims[v])]
-                  for v, o in offsets.items()} for vec in nullspace_vectors(f, rows, total)]
+        if fixed:
+            m0 = Representation(h.source_quiver, dims, fixed, field=f)
+            rows, total, offsets = _intertwiner_system(m0, m0, fixed)
+            if len(fixed) == len(blocks):  # no letter in any block: d alone is needed
+                self.d = total - f.rank(rows, total)
+                return
+            basis = [{v: [vec[o + p * dims[v]:o + (p + 1) * dims[v]] for p in range(dims[v])]
+                      for v, o in offsets.items()} for vec in nullspace_vectors(f, rows, total)]
+        else:  # End(M0) is the sum of the M_{n_v}: its unit basis
+            basis = []
+            for v, i, j in [(v, i, j) for v, n in dims.items() for i in range(n) for j in range(n)]:
+                basis.append({u: [[f.zero()] * n for _ in range(n)] for u, n in dims.items()})
+                basis[-1][v][i][j] = one
         self.d = len(basis)
         for a in (a for a in h.source_quiver.arrows if a.name not in fixed):
             symbols, entries = {}, {}  # (k, w, right) -> column; (i, j) -> {column: value}
@@ -1024,11 +1030,12 @@ class _Trials:
         k ell^2 + p ell + q is C_k[p, q], and entry (p, q) of an equation is
         its row p ell + q."""
         f, n, span = self.h.field, ell * ell, range(ell)
-        rows = []
+        xs, rows = {}, []  # xs: word -> entries of X_w
         for eq in equations:
             block = [{} for _ in range(n)]
             for k, w, right, c in eq:
-                x = w and reduce(ExactMatrix.__mul__, [assignment[y] for y in w]).entries
+                x = w and (xs.get(w) or xs.setdefault(
+                    w, reduce(ExactMatrix.__mul__, [assignment[y] for y in w]).entries))
                 if not w:  # C_k
                     cells = [(i, k * n + i, c) for i in range(n)]
                 elif right:  # (X_w C_k)[p, q] holds X_w[p, m] C_k[m, q]
@@ -1040,7 +1047,7 @@ class _Trials:
                 for i, j, y in cells:
                     row = block[i]
                     row[j] = f.add(row[j], y) if j in row else y
-            rows += block
+            rows += filter(None, block)
         return d * n - f.rank(rows, d * n)
 
 

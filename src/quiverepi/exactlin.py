@@ -7,11 +7,8 @@ arithmetic, each operation returning that form, so the same matrix code
 runs over either field.  Besides scalar operations, each Field supplies
 dot(xs, ys), the row kernel of ExactMatrix products.
 
-Each Field has one elimination loop behind three entry points, all on
-sparse rows {column: nonzero entry}: rank(rows, cols, start), the rank
-modulo the row space of a reduced echelon start (so the echelon of rows
-that many systems share is computed once), pivots(rows, cols), the pivot
-columns that every echelon form shares, from the rank's forward pass, and
+Each Field has one elimination loop behind two entry points, both on
+sparse rows {column: nonzero entry}: rank(rows, cols) and
 reduced_echelon(rows, cols), the RREF as {pivot column: rest of its row}.
 quiverrep's intertwiner rows come that way, and rref(m) and rank(m) hand
 over a matrix's nonzero entries the same way; rref alone makes dense
@@ -19,11 +16,11 @@ rows.  GF(p) runs an incremental sparse echelon, reducing each row by the
 pivot rows kept so far until it vanishes or leads a new column, and
 back-substitutes it for the RREF.  QQ scales each row to Python integers
 and runs a fraction-free elimination (Bareiss's exact division by the
-previous pivot): forward only for the rank and the pivots, forming no
-Fraction, and Gauss-Jordan for the RREF, forming a Fraction only for a
-non-integral entry.  The RREF is unique, so both fields give what any
-exact elimination gives.  The pivot rule is fixed (first nonzero entry
-scanning rows top to bottom, columns left to right), so every result is
+previous pivot): forward only for the rank, forming no Fraction, and
+Gauss-Jordan for the RREF, forming a Fraction only for a non-integral
+entry.  The RREF is unique, so both fields give what any exact
+elimination gives.  The pivot rule is fixed (first nonzero entry scanning
+rows top to bottom, columns left to right), so every result is
 deterministic.
 
 The public ExactMatrix constructor coerces every entry and rejects ragged
@@ -175,20 +172,10 @@ class RationalField:
                     for j, x in enumerate(row[c + 1:], c + 1) if x}
                 for c, row, d in zip(pivots, a, level)}
 
-    def rank(self, rows: Iterable[dict], cols: int, start: dict | None = None) -> int:
+    def rank(self, rows: Iterable[dict], cols: int) -> int:
         """Row rank of sparse rows {column: nonzero}, by the forward-only
-        fraction-free pass on dense integer rows: no Fraction is formed.
-
-        With start, a reduced_echelon, the rank modulo its row space: the
-        rank of its rows and rows together, less len(start)."""
-        if start:
-            rows = [{c: 1, **tail} for c, tail in start.items()] + list(rows)
-        return len(self.pivots(rows, cols)) - len(start or ())
-
-    def pivots(self, rows: Iterable[dict], cols: int) -> list[int]:
-        """The pivot columns of sparse rows, ascending, from the forward-only
-        pass: those of any echelon form of the rows, the RREF's included."""
-        return self._echelon(_integer_rows(rows, cols), cols, False)[2]
+        fraction-free pass on dense integer rows: no Fraction is formed."""
+        return len(self._echelon(_integer_rows(rows, cols), cols, False)[2])
 
     def to_str(self, a):
         return str(a)
@@ -282,19 +269,16 @@ class PrimeField:
     def dot(self, xs, ys):
         return sum(map(mul, xs, ys)) % self.p
 
-    def _echelon(self, rows: Iterable[dict], cols: int,
-                 start: dict | None = None) -> dict[int, dict]:
+    def _echelon(self, rows: Iterable[dict], cols: int) -> dict[int, dict]:
         """The incremental sparse echelon shared by reduced_echelon and rank.
 
         Maps each leading column to the rest of a kept row scaled to a
         leading 1; each row is reduced by them, its smallest column first,
         until it vanishes or leads a new column.  Subtracting a pivot row
         cancels the lead and touches only columns right of it; the zeros it
-        leaves are dropped when they come to lead.  With start, an echelon
-        of the same form, the pivots start as a copy of it: its tails are
-        read, never changed, so it can start any number of echelons."""
+        leaves are dropped when they come to lead."""
         p = self.p
-        pivots: dict[int, dict] = dict(start or {})
+        pivots: dict[int, dict] = {}
         for row in rows:
             if len(pivots) == cols:
                 break
@@ -331,16 +315,10 @@ class PrimeField:
                     tail[j] = (tail.get(j, 0) - q * y) % p
         return {c: {j: x for j, x in echelon[c].items() if x} for c in pivots}
 
-    def rank(self, rows: Iterable[dict], cols: int, start: dict | None = None) -> int:
+    def rank(self, rows: Iterable[dict], cols: int) -> int:
         """Row rank of sparse rows {column: nonzero}: the number of leading
-        columns of their sparse echelon.  With start, a reduced_echelon, the
-        rank modulo its row space: the leading columns the rows add to it."""
-        return len(self._echelon(rows, cols, start)) - len(start or ())
-
-    def pivots(self, rows: Iterable[dict], cols: int) -> list[int]:
-        """The leading columns of the sparse echelon of rows, ascending: those
-        of any echelon form of the rows, the RREF's included."""
-        return sorted(self._echelon(rows, cols))
+        columns of their sparse echelon."""
+        return len(self._echelon(rows, cols))
 
     def to_str(self, a):
         return str(a % self.p)

@@ -672,16 +672,16 @@ class LinearElimination:
     """Pre-elimination of an ideal's generators of degree at most 1.
 
     The pivot generators are those of degree <= 1 outside the span of 1
-    and the earlier ones: the pivot columns, but column 0, of the transpose
-    (Field.pivots, a forward pass), column 0 being the vector of 1 and
-    column k the k-th generator of degree <= 1.  The rules are the reduced
-    echelon of the pivot generators' rows, with a column per letter in
-    descending monomial order, one for the constant and one per pivot
-    generator.  A row p + sum t_j x_j + t | sum m_i e_i, monic at its
-    leading letter p, is the rule p -> (-sum t_j x_j - t, sum m_i g_i) of
-    _rewrite: p == tail + sum(combo * products), and no tail holds a
-    pivot.  The pivot generators are independent modulo 1, so no other
-    combination of them gives p - tail.
+    and the earlier ones: the pivot columns, but column 0, of the reduced
+    echelon of the transpose, column 0 being the vector of 1 and column k
+    the k-th generator of degree <= 1.  The rules are the reduced echelon
+    of the pivot generators' rows, with a column per letter in descending
+    monomial order, one for the constant and one per pivot generator.  A
+    row p + sum t_j x_j + t | sum m_i e_i, monic at its leading letter p,
+    is the rule p -> (-sum t_j x_j - t, sum m_i g_i) of _rewrite: p ==
+    tail + sum(combo * products), and no tail holds a pivot.  The pivot
+    generators are independent modulo 1, so no other combination of them
+    gives p - tail.
 
     Rewriting by these rules (normal_form) is the algebra map sending each
     pivot letter to its tail.  It kills every rule, and no two pivots
@@ -702,7 +702,8 @@ class LinearElimination:
         for k, gi in enumerate(linear, 1):
             for w, c in gens.generators[gi].terms.items():
                 transpose.setdefault(w, {})[k] = c
-        pivots = [linear[k - 1] for k in f.pivots(transpose.values(), len(linear) + 1) if k]
+        pivots = [linear[k - 1] for k in f.reduced_echelon(list(transpose.values()),
+                                                            len(linear) + 1) if k]
         words = [(x,) for x in reversed(algebra.letters)] + [()]
         column = {w: j for j, w in enumerate(words)}
         m = len(words)

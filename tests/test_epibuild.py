@@ -1286,6 +1286,9 @@ def named_trial_homs() -> dict[str, AlgebraHom]:
             kr11, {"x[a]_1_1": xy.letter("x"), "x[b]_1_1": xy.poly({("x", "y"): 1})}, xy),
         # vertex 3 has dimension 0, so b's block is empty and letter-free
         "zero-dimensional vertex": canonical_generic_hom(a3, {"1": 1, "2": 2, "3": 0}),
+        # the same vertex with no arrow: the unit basis has no block there
+        "unit basis, zero-dimensional vertex": canonical_generic_hom(
+            parse_quiver("vertices 1 2 3\narrow a 1 2\n"), {"1": 1, "2": 2, "3": 0}),
         # the zero module at every size, with a letter in no image
         "size 0": substitute_letters(canonical_generic_hom(a2, {"1": 0, "2": 0}), {},
                                      FreeAlgebra(QQ, ["x"])),

@@ -689,12 +689,3 @@ class TestReducedEchelon:
         assert echelon == expected
         for x in (x for tail in echelon.values() for x in tail.values()):
             assert is_canonical_rational(x) if field == QQ else 0 < x < field.p
-
-    @settings(max_examples=100, deadline=None)
-    @given(sparse_rank_inputs())
-    def test_pivots_are_the_reduced_echelon_pivots(self, case):
-        # Field.pivots reads them off the forward pass of rank
-        field, rows, cols = case
-        copy = [dict(row) for row in rows]
-        assert field.pivots(rows, cols) == list(field.reduced_echelon(rows, cols))
-        assert rows == copy
