@@ -34,7 +34,6 @@ from .exactlin import (
     idempotent_diagonalize,
     is_prime,
     nullspace_basis,
-    nullspace_vectors,
     parse_field,
     rank,
     solve_or_invert,
@@ -53,13 +52,13 @@ from .quiver import Quiver, block_layout
 from .quiverrep import (
     Representation,
     ZeroModule,
-    _intertwiner_system,
     complement,
     end_basis,
     end_dim,
     euler_form,
     find_end_invariance_violation,
     hom_basis,  # noqa: F401 - unused here; perfbench/test_checks.py traces this binding
+    hom_dim,
     is_brick,
     is_exceptional,
     kernel_image,
@@ -957,45 +956,47 @@ def specialize(h: AlgebraHom, assignment: dict[str, ExactMatrix],
 
 
 class _Trials:
-    """The specialization trials of one hom over its own field: dims_of
-    gives (dim End over the path algebra of the specialized module, dim of
-    the centralizer of the assigned matrices) once per distinct (size,
-    assignment).  Off the standard layout each trial runs specialize.  In
-    it, with E_1..E_d a basis of End(M0), M0 the size-1 module of the
-    arrows whose blocks hold no letter, a trial's endomorphisms lie in
-    End(M0 (x) k^ell) = End(M0) (x) M_ell(k), as sum_k E_k (x) C_k, and
-    each letter arrow adds an ell x ell equation in the C_k per row of the
+    """The specialization trials of one hom, its coefficients read into
+    field: dims_of gives (dim End over the path algebra of the specialized
+    module, dim of the centralizer of the assigned matrices) once per
+    distinct (size, assignment).  Off the standard layout the hom is one
+    vertex of dimension h.size with a loop per image, End being the
+    commutant of the images.  With E_1..E_d a basis of End(M0), M0 the
+    size-1 module of the images that hold no letter, a trial's
+    endomorphisms lie in End(M0) (x) M_ell(k), as sum_k E_k (x) C_k, and
+    each letter image adds an ell x ell equation in the C_k per row of the
     reduced echelon of its scalar matrices E_k,t Phi_w and -Phi_w E_k,s,
     made once (see the README's specialization test)."""
 
-    def __init__(self, h: AlgebraHom):
-        f, one = h.field, h.field.one()
-        self.h, self.done = h, {}  # done: (size, matrices) -> dims
+    def __init__(self, h: AlgebraHom, field):
+        f, one = field, field.one()
+        self.size, self.field, self.done = h.size, f, {}  # done: (size, matrices) -> dims
         self.letters = [[(0, (x,), False, one), (0, (x,), True, f.neg(one))] for x in h.algebra.letters]
         try:
             dims, blocks = h.standard_blocks()
+            q = h.source_quiver
         except LayoutMismatch:
-            self.equations = None
-            return
+            images = [*h.idem_images.values(), *h.arrow_images.values()]
+            q = Quiver(["*"], [(i, "*", "*") for i in range(len(images))], require_acyclic=False)
+            dims, blocks = {"*": h.size}, dict(enumerate(images))
         fixed = {a: [[b.nonzero[i, j].terms[()] if (i, j) in b.nonzero else f.zero()
                       for j in range(b.cols)] for i in range(b.rows)]
                  for a, b in blocks.items() if all(p.terms.keys() == {()} for p in b.nonzero.values())}
+        m0 = Representation(Quiver(q.vertices, [a for a in q.arrows if a.name in fixed],
+                                   require_acyclic=False), dims, fixed, field=f)
         self.equations = []  # [(k, w, right, c), ...]: sum c (X_w C_k if right else C_k X_w) = 0
+        if len(fixed) == len(blocks):  # no letter in any image: d alone is needed
+            self.d = hom_dim(m0, m0)
+            return
         if fixed:
-            m0 = Representation(h.source_quiver, dims, fixed, field=f)
-            rows, total, offsets = _intertwiner_system(m0, m0, fixed)
-            if len(fixed) == len(blocks):  # no letter in any block: d alone is needed
-                self.d = total - f.rank(rows, total)
-                return
-            basis = [{v: [vec[o + p * dims[v]:o + (p + 1) * dims[v]] for p in range(dims[v])]
-                      for v, o in offsets.items()} for vec in nullspace_vectors(f, rows, total)]
+            basis = [{v: e.entries for v, e in pair.items()} for pair in end_basis(m0).pairs]
         else:  # End(M0) is the sum of the M_{n_v}: its unit basis
             basis = []
             for v, i, j in [(v, i, j) for v, n in dims.items() for i in range(n) for j in range(n)]:
                 basis.append({u: [[f.zero()] * n for _ in range(n)] for u, n in dims.items()})
                 basis[-1][v][i][j] = one
         self.d = len(basis)
-        for a in (a for a in h.source_quiver.arrows if a.name not in fixed):
+        for a in (a for a in q.arrows if a.name not in fixed):
             symbols, entries = {}, {}  # (k, w, right) -> column; (i, j) -> {column: value}
 
             def put(i, j, symbol, x):
@@ -1005,6 +1006,7 @@ class _Trials:
 
             for ((r, s), poly), (k, e) in product(blocks[a.name].nonzero.items(), enumerate(basis)):
                 for w, c in poly.terms.items():  # c at (r, s) of Phi_w
+                    c = f.coerce(c)
                     for i, e_i in enumerate(e[a.target]):
                         put(i, s, (k, w, False), f.mul(e_i[r], c))  # in E_k,t Phi_w
                     for j, y in enumerate(e[a.source][s]):
@@ -1015,10 +1017,9 @@ class _Trials:
 
     def dims_of(self, assignment: dict[str, ExactMatrix], ell: int) -> tuple[int, int]:
         key = (ell, tuple(m.entries for m in assignment.values()))
-        if key in self.done or ell * self.h.size == 0:
+        if key in self.done or ell * self.size == 0:
             return self.done.get(key, (0, 0))
-        dim_path = (end_dim(specialize(self.h, assignment, size=ell)) if self.equations is None
-                    else self._kernel(self.equations, self.d, assignment, ell))
+        dim_path = self._kernel(self.equations, self.d, assignment, ell)
         dim_matrix = self._kernel(self.letters, 1, assignment, ell)
         if dim_path < dim_matrix:
             raise EpibuildError("internal: matrix-algebra End exceeded path-algebra End")
@@ -1029,7 +1030,7 @@ class _Trials:
         """dim of the (C_1..C_d) in M_ell(k)^d solving the equations: unknown
         k ell^2 + p ell + q is C_k[p, q], and entry (p, q) of an equation is
         its row p ell + q."""
-        f, n, span = self.h.field, ell * ell, range(ell)
+        f, n, span = self.field, ell * ell, range(ell)
         xs, rows = {}, []  # xs: word -> entries of X_w
         for eq in equations:
             block = [{} for _ in range(n)]
@@ -1113,8 +1114,7 @@ def specialization_refutation_test(h: AlgebraHom, trials: int = 20,
     import random
 
     field = h.field if h.field != QQ else GF(_specialization_prime(h))
-    hs = convert_hom_field(h, field)
-    modular, exact = _Trials(hs), None
+    modular, exact = _Trials(h, field), None
     rng = random.Random(seed)
     sizes = list(sizes)
     log = []
@@ -1124,14 +1124,14 @@ def specialization_refutation_test(h: AlgebraHom, trials: int = 20,
             x: ExactMatrix(field,
                            [[rng.randrange(field.p) for _ in range(ell)] for _ in range(ell)],
                            cols=ell)
-            for x in hs.algebra.letters
+            for x in h.algebra.letters
         }
         dim_path, dim_matrix = modular.dims_of(assignment, ell)
         entry = {"trial": t, "size": ell}
         if dim_path > dim_matrix and h.field == QQ:
             artifact = {"prime": field.p, "dim_path_algebra": dim_path,
                         "dim_matrix_algebra": dim_matrix}
-            exact = exact or _Trials(h)
+            exact = exact or _Trials(h, QQ)
             dim_path, dim_matrix = exact.dims_of(
                 {x: m.convert(QQ) for x, m in assignment.items()}, ell)
             if dim_path <= dim_matrix:

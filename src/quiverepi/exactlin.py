@@ -348,7 +348,7 @@ def parse_field(spec: str):
     """Parse a field spec: "q" for QQ, "fp:<p>" for GF(p)."""
     if spec == "q":
         return QQ
-    if spec.startswith("fp:"):
+    if spec.startswith("fp:") and spec[3:].isdecimal():
         return GF(int(spec[3:]))
     raise ValueError(f"unknown field spec {spec!r} (expected 'q' or 'fp:<p>')")
 

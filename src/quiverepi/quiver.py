@@ -51,9 +51,9 @@ class Quiver:
 
     Acyclicity is enforced unless require_acyclic=False.  Two quivers with
     loops use it: the Morita-shape output of glued_quiver, which never feeds
-    a representation, and the one-vertex quiver with one loop per letter on
-    which the specialization test computes the centralizer of the assigned
-    matrices as an End space.
+    a representation, and the one-vertex quiver with one loop per image on
+    which the specialization trials read a hom off the standard layout, its
+    End over the path algebra being the commutant of those images.
     """
 
     def __init__(self, vertices, arrows, require_acyclic: bool = True):

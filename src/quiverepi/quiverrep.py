@@ -154,13 +154,11 @@ class Subspace:
         return rank(m.hstack(vector)) == self.dim()
 
 
-def _intertwiner_system(M: Representation, N: Representation, arrows=None):
+def _intertwiner_system(M: Representation, N: Representation):
     """The stacked linear system f_{t(e)} phi_e^M - phi_e^N f_{s(e)} = 0 of
     Hom(M, N): (rows, unknowns, offsets), entry (p, r) of f_v being unknown
-    offsets[v] + p * dims_M[v] + r (row-major).  The rows are those of the
-    arrows named in arrows, in quiver order, or of all arrows by default;
-    the unknowns are the same for any choice, so the systems of two sets of
-    arrows stack into the system of both.
+    offsets[v] + p * dims_M[v] + r (row-major), with the rows of the arrows
+    in quiver order.
 
     Each row is sparse, a dict {unknown: nonzero coefficient}: it has at most
     dims_M[t(e)] + dims_N[s(e)] entries out of sum_v dims_N[v] * dims_M[v]
@@ -177,8 +175,6 @@ def _intertwiner_system(M: Representation, N: Representation, arrows=None):
         total += N.dims[v] * M.dims[v]
     rows = []
     for a in q.arrows:
-        if arrows is not None and a.name not in arrows:
-            continue
         phi_m = M.maps[a.name].entries
         phi_n = N.maps[a.name].entries
         mt, ms = M.dims[a.target], M.dims[a.source]
@@ -395,17 +391,17 @@ def parse_representation(text: str, quiver: Quiver, field=QQ) -> Representation:
                 raise RepresentationError(f"line {lineno}: second 'map' line for arrow {name!r}")
             a = quiver.arrow(name)
             body = line.split(None, 2)[2] if len(tokens) > 2 else ""
-            rows = []
-            for chunk in body.split(";"):
-                entries = chunk.split()
-                if entries:
-                    try:
-                        rows.append([field.coerce(tok) for tok in entries])
-                    except (ValueError, ZeroDivisionError):
-                        raise RepresentationError(f"line {lineno}: bad entry in map {name!r}") from None
+            try:
+                rows = [[field.coerce(tok) for tok in entries]
+                        for chunk in body.split(";") if (entries := chunk.split())]
+            except (ValueError, ZeroDivisionError):
+                raise RepresentationError(f"line {lineno}: bad entry in map {name!r}") from None
             expected = (dims.get(a.target, 0), dims.get(a.source, 0))
-            maps[name] = ExactMatrix(field, rows, cols=expected[1]) if rows else \
-                ExactMatrix.zeros(field, *expected)
+            try:
+                maps[name] = ExactMatrix(field, rows, cols=expected[1]) if rows else \
+                    ExactMatrix.zeros(field, *expected)
+            except ValueError as exc:
+                raise RepresentationError(f"line {lineno}: map {name!r}: {exc}") from None
         else:
             raise RepresentationError(f"line {lineno}: unknown directive {head!r}")
     if dims is None:

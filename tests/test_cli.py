@@ -537,6 +537,81 @@ class TestMalformedHom:
         assert captured.out == ""
 
 
+BRICK_HOM = {
+    "schema": 1, "field": "q", "size": 2, "alphabet": [], "provenance": "brick",
+    "source_quiver": {"vertices": ["1", "2"], "arrows": [["a", "1", "2"]]},
+    "idem_images": {"1": [["1", "0"], ["0", "0"]], "2": [["0", "0"], ["0", "1"]]},
+    "arrow_images": {"a": [["0", "0"], ["1", "0"]]}, "letter_coords": None,
+}
+UNKNOWN_FIELD = "unknown field spec 'fp:x' (expected 'q' or 'fp:<p>')"
+
+
+def _rep(body, quiver="a2.quiver"):
+    """The file r.rep: a header naming the quiver file, then body."""
+    return {"r.rep": f"quiver {quiver}\n{body}"}
+
+
+INPUT_ERROR_CASES = [
+    pytest.param(_rep("dims 1=1 2=1\ndims 1=1 2=1\n"), ["check", "r.rep"],
+                 "line 3: second 'dims' line", id="rep-second-dims"),
+    pytest.param(_rep("dims 1 2=1\n"), ["check", "r.rep"],
+                 "line 2: expected <vertex>=<dim>, got '1'", id="rep-dims-token-without-equals"),
+    pytest.param(_rep("dims 1=x 2=1\n"), ["check", "r.rep"],
+                 "line 2: bad dimension 'x'", id="rep-bad-dimension"),
+    pytest.param(_rep("map a 1\ndims 1=1 2=1\n"), ["check", "r.rep"],
+                 "line 2: 'map' before 'dims'", id="rep-map-before-dims"),
+    pytest.param(_rep("dims 1=1 2=1\nmap\n"), ["check", "r.rep"],
+                 "line 3: 'map' needs an arrow name", id="rep-map-without-arrow"),
+    pytest.param(_rep("dims 1=1 2=1\nmap c 1\n"), ["check", "r.rep"],
+                 "line 3: unknown arrow 'c'", id="rep-unknown-arrow"),
+    pytest.param(_rep("dims 1=1 2=1\nmap a x\n"), ["check", "r.rep"],
+                 "line 3: bad entry in map 'a'", id="rep-bad-map-entry"),
+    pytest.param(_rep("dims 1=1 2=1\nmap a 1 2\n"), ["check", "r.rep"],
+                 "line 3: map 'a': expected 1 columns, got 2", id="rep-wide-map-row"),
+    pytest.param(_rep("dims 1=1 2=1\nmap a 1 2 ; 3\n"), ["check", "r.rep"],
+                 "line 3: map 'a': ragged rows in matrix literal", id="rep-ragged-map"),
+    pytest.param(_rep("# no dims line\n"), ["check", "r.rep"],
+                 "missing 'dims' line", id="rep-missing-dims"),
+    pytest.param({"r.rep": "quiver\ndims 1=1 2=1\n"}, ["check", "r.rep"],
+                 "'quiver' header needs a file name", id="rep-quiver-without-file"),
+    pytest.param({"q.quiver": "vertices 1 2\nvertices 3\n", **_rep("dims 1=1 2=1\n", "q.quiver")},
+                 ["check", "r.rep"], "line 2, column 1: second 'vertices' line",
+                 id="quiver-second-vertices"),
+    pytest.param({"q.quiver": "vertices\n", **_rep("dims\n", "q.quiver")}, ["check", "r.rep"],
+                 "line 1, column 1: 'vertices' line needs at least one vertex",
+                 id="quiver-empty-vertices"),
+    pytest.param({"q.quiver": "vertices 1 2\narrow a 3 2\n", **_rep("dims 1=1 2=1\n", "q.quiver")},
+                 ["check", "r.rep"], "line 2, column 1: undeclared source vertex '3'",
+                 id="quiver-undeclared-source"),
+    pytest.param({}, ["build", "canonical", "a2.quiver", "--dims", "1"],
+                 "bad dims entry '1', expected <vertex>=<n>", id="cli-dims-without-equals"),
+    pytest.param({}, ["build", "presentation", "brick.rep", "kronecker.quiver", "--path", "a"],
+                 "bad --path 'a', expected <arrow>=<e1.e2...>", id="cli-path-without-equals"),
+    pytest.param({"h.json": BRICK_HOM}, ["verify", "h.json", "--trials", "0"],
+                 "--trials must be positive", id="cli-zero-trials"),
+    pytest.param({"h.json": BRICK_HOM}, ["verify", "h.json", "--degree", "-1"],
+                 "--degree must be nonnegative", id="cli-negative-degree"),
+    pytest.param({}, ["--field", "fp:x", "check", "brick.rep"], UNKNOWN_FIELD,
+                 id="cli-field-fp-x"),
+    pytest.param({"h.json": dict(BRICK_HOM, schema=2)}, ["verify", "h.json"],
+                 "unsupported hom schema 2", id="hom-schema-2"),
+    pytest.param({"h.json": dict(BRICK_HOM, field="fp:x")}, ["verify", "h.json"], UNKNOWN_FIELD,
+                 id="hom-field-fp-x"),
+]
+
+
+@pytest.mark.parametrize("files, argv, message", INPUT_ERROR_CASES)
+def test_input_error_names_its_cause(workdir, capsys, monkeypatch, files, argv, message):
+    """Each malformed input exits 2 with one `error:` line that names it,
+    and writes nothing to stdout."""
+    for name, content in files.items():
+        (workdir / name).write_text(content if isinstance(content, str) else json.dumps(content))
+    monkeypatch.chdir(workdir)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
 FUZZ_FILES = {
     "a2.quiver": A2,
     "kronecker.quiver": KRONECKER,

@@ -719,6 +719,13 @@ class TestLinearRelations:
                 assert res.certificate.evaluate(gens) == combined.embed(r)
 
 
+def conjugated(h, u, u_inv) -> AlgebraHom:
+    """h followed by the inner automorphism m -> u m u_inv of M_n(k<X>)."""
+    return AlgebraHom(h.source_quiver, h.algebra, h.size,
+                      {v: u * m * u_inv for v, m in h.idem_images.items()},
+                      {a: u * m * u_inv for a, m in h.arrow_images.items()})
+
+
 class TestSpecialize:
     def test_scalar_substitution(self, kron_extension_hom):
         rep = specialize(kron_extension_hom, {"x[b]_1_1": ExactMatrix(QQ, [[2]])})
@@ -750,9 +757,7 @@ class TestSpecialize:
         alg = h.algebra
         t = FreeMat(alg, [[1, 1], [0, 1]], cols=2)
         t_inv = FreeMat(alg, [[1, -1], [0, 1]], cols=2)
-        twisted = AlgebraHom(h.source_quiver, alg, 2,
-                             {v: t * m * t_inv for v, m in h.idem_images.items()},
-                             {a: t * m * t_inv for a, m in h.arrow_images.items()})
+        twisted = conjugated(h, t, t_inv)
         with pytest.raises(LayoutMismatch):
             twisted.standard_dims()
         rep = specialize(twisted, {})
@@ -895,16 +900,15 @@ class TestRefutation:
     def test_letter_in_an_idempotent_image_specializes_per_trial(self, kron_extension_hom,
                                                                  monkeypatch):
         # the Kronecker extension hom conjugated by [[1, -x], [0, 1]]: e1 =
-        # [[1, x], [0, 0]] and e2 = [[0, -x], [0, 1]] hold its letter, so no
-        # trial can reuse a layout and each one runs specialize in full
+        # [[1, x], [0, 0]] and e2 = [[0, -x], [0, 1]] hold its letter, so the
+        # trials read it as one vertex with a loop per image, where End(M0)
+        # is all of M_2, and none of them runs specialize
         h = kron_extension_hom
         alg, (name,) = h.algebra, h.algebra.letters
         x = alg.letter(name)
         t = FreeMat(alg, [[1, -x], [0, 1]], cols=2)
         t_inv = FreeMat(alg, [[1, x], [0, 1]], cols=2)
-        twisted = AlgebraHom(h.source_quiver, alg, 2,
-                             {v: t * m * t_inv for v, m in h.idem_images.items()},
-                             {a: t * m * t_inv for a, m in h.arrow_images.items()})
+        twisted = conjugated(h, t, t_inv)
         assert twisted.idem_images["1"] == FreeMat(alg, [[1, x], [0, 0]], cols=2)
         assert twisted.idem_images["2"] == FreeMat(alg, [[0, -x], [0, 1]], cols=2)
         calls = []
@@ -930,7 +934,33 @@ class TestRefutation:
                              "dim_matrix_algebra": hom_dim(letters, letters)})
         assert out.passed
         assert out.trials == expected
-        assert calls == [1 + trial % 2 for trial in range(20)]
+        assert calls == []
+
+    def test_permuted_glue6_runs_no_specialize(self, kronecker, monkeypatch):
+        # a work count: glue6 conjugated by the cyclic permutation of its six
+        # coordinates is off the standard layout, so its trials run on the
+        # one-vertex view of its images, with no specialize call, and log
+        # what glue6's trials log
+        pre23 = Representation(kronecker, {"1": 2, "2": 3}, {
+            "a": [[1, 0], [0, 1], [0, 0]], "b": [[0, 0], [1, 0], [0, 1]]})
+        h = glue_vertex(pre23, "2")
+        alg, n = h.algebra, h.size
+        cycle = FreeMat(alg, [[int(j == (i + 1) % n) for j in range(n)] for i in range(n)], cols=n)
+        cycle_inv = FreeMat(alg, [[int(i == (j + 1) % n) for j in range(n)] for i in range(n)],
+                            cols=n)
+        permuted = conjugated(h, cycle, cycle_inv)
+        with pytest.raises(LayoutMismatch):
+            permuted.standard_dims()
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("size"))
+            return specialize(*args, **kwargs)
+
+        monkeypatch.setattr(epibuild, "specialize", counted)
+        out = specialization_refutation_test(permuted)
+        assert calls == []
+        assert out.to_json_dict() == specialization_refutation_test(h).to_json_dict()
 
     def test_glued_kronecker34_trial_work(self, kronecker, monkeypatch):
         # a work count, not a timing: the rows that one default test on the
@@ -969,7 +999,7 @@ class TestRefutation:
     def test_loop_quiver_centralizer(self, a2_brick, kron_extension_hom, kronecker):
         def centralizer_dim(h, assignment, ell):
             mats = {x: ExactMatrix(QQ, m) for x, m in assignment.items()}
-            return _Trials(h).dims_of(mats, ell)[1]
+            return _Trials(h, QQ).dims_of(mats, ell)[1]
 
         assert centralizer_dim(build_brick_hom(a2_brick), {}, 3) == 9
         generic = [[1, 2], [3, 4]]
@@ -998,6 +1028,23 @@ def draw_module(data, q, dims_choices) -> Representation:
     return Representation(q, dims, maps)
 
 
+@st.composite
+def unimodular(draw, alg, n):
+    """An integer matrix of determinant +-1 and its inverse, as FreeMats over
+    alg: a signed permutation matrix times up to three elementary matrices
+    I + c E_ij.  Its inverse has integer entries, so conjugating by it adds
+    no prime to any coefficient denominator."""
+    perm = draw(st.permutations(range(n)))
+    sign = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    u = FreeMat(alg, [[sign[i] * (j == perm[i]) for j in range(n)] for i in range(n)], cols=n)
+    u_inv = FreeMat(alg, [[sign[j] * (i == perm[j]) for j in range(n)] for i in range(n)], cols=n)
+    for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
+        i, j = draw(st.permutations(range(n)))[:2]
+        e = FreeMat.unit(alg, n, i, j).scale(draw(st.sampled_from([-2, -1, 1, 2])))
+        u, u_inv = (FreeMat.identity(alg, n) + e) * u, u_inv * (FreeMat.identity(alg, n) - e)
+    return u, u_inv
+
+
 class TestRefutationProperties:
     @settings(max_examples=30, deadline=None)
     @given(st.data())
@@ -1022,6 +1069,20 @@ class TestRefutationProperties:
         assert rep.field == QQ
         assert hom_basis(rep, rep).dimension == w["dim_path_algebra"]
         assert w["dim_path_algebra"] > w["dim_matrix_algebra"] == w["size"] ** 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_trial_log_is_conjugation_invariant(self, construction_outputs, data):
+        # u h u^-1 is h up to an inner automorphism, so every trial's two
+        # dimensions, and with them the whole outcome, stay the same; the
+        # conjugate is mostly off the standard layout
+        _, h = data.draw(st.sampled_from(construction_outputs))
+        if h.field == QQ:
+            h = convert_hom_field(h, data.draw(st.sampled_from([QQ, GF(101)])))
+        twin = conjugated(h, *data.draw(unimodular(h.algebra, h.size)))
+        seed = data.draw(st.integers(0, 2**16))
+        assert specialization_refutation_test(twin, trials=6, seed=seed).to_json_dict() == \
+            specialization_refutation_test(h, trials=6, seed=seed).to_json_dict()
 
 
 class TestGluedQuiver:
@@ -1249,7 +1310,7 @@ def assert_trials_match_reference(h, sizes, seed) -> list[tuple[int, int]]:
     returns the trials' dimensions."""
     rng = random.Random(seed)
     loops = Quiver(["*"], [(x, "*", "*") for x in h.algebra.letters], require_acyclic=False)
-    trials, got = _Trials(h), []
+    trials, got = _Trials(h, h.field), []
     for ell in sizes:
         assignment = {x: ExactMatrix(h.field, [[rng.randrange(-2, 3) for _ in range(ell)]
                                                for _ in range(ell)])
@@ -1325,10 +1386,8 @@ class TestTrialDims:
             "extension": ext,
             # the letter y is in no image, so both arrows are letter-free
             "unused letter": substitute_letters(ext, {name: 2}, FreeAlgebra(field, ["y"])),
-            # off the standard layout: specialize
-            "conjugated": AlgebraHom(ext.source_quiver, alg, 2,
-                                     {v: t * m * t_inv for v, m in ext.idem_images.items()},
-                                     {a: t * m * t_inv for a, m in ext.arrow_images.items()}),
+            # off the standard layout: the one-vertex view
+            "conjugated": conjugated(ext, t, t_inv),
         }
         got = {label: assert_trials_match_reference(h, [1, 2, 3, 2, 1, 3], seed)
                for seed, (label, h) in enumerate(cases.items())}
@@ -1389,11 +1448,12 @@ class TestTrialDims:
 
 
 def test_epibuild_imports_no_private_freealg_name():
-    """The matrix format stays behind freealg: epibuild imports only its
-    public names."""
+    """Each sibling module keeps its internals behind its public names: the
+    matrix format stays behind freealg and the intertwiner systems behind
+    quiverrep, so epibuild imports no private name of any of them."""
     tree = ast.parse(Path(epibuild.__file__).read_text(encoding="utf-8"))
     private = [alias.name for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom)
-               and node.module in ("freealg", "quiverepi.freealg")
+               and (node.level == 1 or (node.module or "").startswith("quiverepi"))
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
